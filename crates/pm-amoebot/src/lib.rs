@@ -22,11 +22,11 @@
 //!   executes an algorithm to termination while counting rounds.
 //! * [`ascii`] — rendering of configurations in the style of the paper's
 //!   figures.
+//! * [`stats`] — execution statistics (rounds, moves, disconnection events).
 //!
 //! Workload shapes live in `pm-grid` (`builder` for deterministic families,
 //! `random` for seeded random ones); the `pm-scenarios` crate re-exports both
 //! behind its generator registry.
-//! * [`trace`] — execution statistics (rounds, moves, disconnection events).
 //!
 //! # Example: a trivial algorithm
 //!
@@ -56,8 +56,8 @@ pub mod algorithm;
 pub mod ascii;
 pub mod particle;
 pub mod scheduler;
+pub mod stats;
 pub mod system;
-pub mod trace;
 
 pub use algorithm::{ActivationContext, Algorithm, InitContext};
 pub use particle::{Particle, ParticleId};
@@ -65,7 +65,7 @@ pub use scheduler::{
     DoubleActivation, ReverseRoundRobin, RoundRobin, Runner, RunnerSnapshot, Scheduler,
     SchedulerState, SeededRandom,
 };
+pub use stats::RunStats;
 pub use system::{
     MoveError, Neighbors, OccupancyBackend, ParticleSystem, SystemControl, SystemSnapshot,
 };
-pub use trace::RunStats;

@@ -14,8 +14,8 @@
 
 use crate::algorithm::{ActivationContext, Algorithm};
 use crate::particle::ParticleId;
+use crate::stats::RunStats;
 use crate::system::{ParticleSystem, SystemControl, SystemSnapshot};
-use crate::trace::RunStats;
 use pm_grid::{Point, Shape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -244,8 +244,7 @@ impl std::error::Error for RunError {}
 /// asynchronous round against the persistent [`Runner::stats`], and
 /// [`Runner::control`] hands out a [`SystemControl`] for mid-run mutation
 /// between rounds — the substrate of the steppable `Execution` handle in
-/// `pm-core`. [`Runner::run`] and [`Runner::run_observed`] are loops over
-/// the same stepping surface.
+/// `pm-core`. [`Runner::run`] is a loop over the same stepping surface.
 pub struct Runner<A: Algorithm, S: Scheduler> {
     system: ParticleSystem<A::Memory>,
     algorithm: A,
@@ -496,24 +495,6 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
     /// [`RunError::RoundLimitExceeded`] if the round budget is exhausted
     /// before the algorithm completes.
     pub fn run(&mut self, max_rounds: u64) -> Result<RunStats, RunError> {
-        self.run_observed(max_rounds, |_, _| {})
-    }
-
-    /// Like [`Runner::run`], but invokes `on_round` with the system and the
-    /// cumulative statistics after every completed asynchronous round — the
-    /// hook behind round-by-round tracing tools.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runner::run`].
-    pub fn run_observed<F>(
-        &mut self,
-        max_rounds: u64,
-        mut on_round: F,
-    ) -> Result<RunStats, RunError>
-    where
-        F: FnMut(&ParticleSystem<A::Memory>, &RunStats),
-    {
         if self.system.is_empty() {
             return Err(RunError::EmptySystem);
         }
@@ -522,7 +503,6 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
                 return Err(RunError::RoundLimitExceeded { limit: max_rounds });
             }
             self.step();
-            on_round(&self.system, &self.stats);
         }
         Ok(self.finalize())
     }

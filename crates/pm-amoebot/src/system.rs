@@ -307,16 +307,16 @@ fn init_context(analysis: &pm_grid::ShapeAnalysis, point: Point) -> InitContext 
     }
 }
 
-/// The mutation surface a perturbation script sees mid-run.
+/// The mutation surface a fault script sees mid-run.
 ///
 /// [`Runner::control`](crate::scheduler::Runner::control) hands out a
 /// `SystemControl` between rounds of a round-driven phase (surfaced upward
 /// as `Execution::system` in `pm-core`), so callers can inject adversarial
 /// perturbations — remove particles, split the configuration — without
-/// knowing the algorithm's memory type. After mutating, a perturbation calls
-/// [`SystemControl::reinitialize`]: the adversary resets the survivors into a
-/// fresh permitted initial configuration and the algorithm restarts its
-/// election on the perturbed shape (modelling the recovery that
+/// knowing the algorithm's memory type. After mutating, a reset-and-recover
+/// adversary calls [`SystemControl::reinitialize`]: it resets the survivors
+/// into a fresh permitted initial configuration and the algorithm restarts
+/// its election on the perturbed shape (modelling the recovery that
 /// self-stabilising leader election automates, cf. arXiv 2408.08775).
 pub trait SystemControl {
     /// Number of particles still in the system.

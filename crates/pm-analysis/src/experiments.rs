@@ -535,7 +535,7 @@ pub fn experiment_scheduler_robustness() -> Table {
 /// rounds at which 50%, 90% and 100% of the particles have decided, next to
 /// the phase's total. The per-round system inspection this needs (decided
 /// counts *during* the run) is exactly what the inversion-of-control API
-/// provides — `RunObserver` callbacks never exposed the system.
+/// provides.
 pub fn experiment_convergence(radii: &[u32]) -> Table {
     use pm_core::api::StepOutcome;
     let mut table = Table::new(

@@ -1,8 +1,10 @@
 //! Benchmark and figure-regeneration crate.
 //!
-//! * The `src/bin/*` binaries regenerate the paper's table and the scaling
-//!   figures as plain-text tables (`cargo run -p pm-bench --bin <name>`,
-//!   `--release` recommended for the larger sweeps).
+//! * The `reproduce_all` binary regenerates the paper's table and the
+//!   scaling figures as plain-text tables (`cargo run -p pm-bench --bin
+//!   reproduce_all [id [arg]]`, `--release` recommended for the larger
+//!   sweeps); the other `src/bin/*` binaries are performance benches that
+//!   write `BENCH_results.json` sections.
 //! * The Criterion benches under `benches/` measure the wall-clock cost of
 //!   the simulator itself (geometry, DLE, OBD, Collect, full pipeline) so
 //!   regressions in the implementation are visible; the *round counts* that

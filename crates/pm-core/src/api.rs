@@ -33,8 +33,7 @@
 //! handle. The caller pumps rounds with [`Execution::step_round`], inspects
 //! progress with [`Execution::status`], and may mutate the live particle
 //! system **between** rounds through [`Execution::system`] — faults strike
-//! between arbitrary rounds, under the caller's control, instead of being
-//! threaded through observer callbacks:
+//! between arbitrary rounds, under the caller's control:
 //!
 //! ```
 //! use pm_amoebot::scheduler::SeededRandom;
@@ -65,9 +64,8 @@
 //! # Ok::<(), pm_core::api::ElectionError>(())
 //! ```
 //!
-//! Round-by-round *instrumentation* (without mutation) plugs in through
-//! [`RunObserver`], which [`LeaderElection::elect_observed`] drives from the
-//! same stepping loop.
+//! Round-by-round *instrumentation* is the same loop without the mutation:
+//! match on the [`StepOutcome`]s and read [`Execution::status`].
 
 use crate::collect::{CollectOutcome, CollectSimulator};
 use crate::dle::{count_decisions, default_round_budget, DleAlgorithm, DleMemory, DleOutcome};
@@ -79,8 +77,8 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
-/// Canonical phase names used in [`PhaseReport::name`] and observer
-/// callbacks.
+/// Canonical phase names used in [`PhaseReport::name`] and
+/// [`StepOutcome`]s.
 pub mod phase {
     /// Outer-boundary detection (Section 5).
     pub const OBD: &str = "obd";
@@ -350,41 +348,6 @@ impl RunReport {
         self.total_rounds == self.phases.iter().map(|p| p.rounds).sum::<u64>()
     }
 }
-
-/// Hook for round-by-round instrumentation of an election run.
-///
-/// Phase boundaries fire for every phase; [`RunObserver::on_round`] fires
-/// after each asynchronous round of *round-driven* phases (DLE, erosion).
-/// Phases simulated in closed form (OBD, Collect, the boundary baselines)
-/// report only their boundaries.
-///
-/// Observers are read-only instrumentation driven by
-/// [`LeaderElection::elect_observed`]'s stepping loop. Mid-run *mutation*
-/// (fault injection) does not go through observers: hold the [`Execution`]
-/// handle yourself, and mutate [`Execution::system`] between rounds.
-pub trait RunObserver {
-    /// A phase is starting.
-    fn on_phase_start(&mut self, algorithm: &str, phase: &str) {
-        let _ = (algorithm, phase);
-    }
-
-    /// A round of a round-driven phase completed. `rounds_so_far` counts
-    /// rounds within the current phase.
-    fn on_round(&mut self, phase: &str, rounds_so_far: u64) {
-        let _ = (phase, rounds_so_far);
-    }
-
-    /// A phase finished; `report` carries its statistics.
-    fn on_phase_end(&mut self, algorithm: &str, report: &PhaseReport) {
-        let _ = (algorithm, report);
-    }
-}
-
-/// The do-nothing observer used when none is supplied.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopObserver;
-
-impl RunObserver for NoopObserver {}
 
 // ---------------------------------------------------------------------------
 // Steppable executions
@@ -696,7 +659,7 @@ impl<'a> Execution<'a> {
     }
 
     /// The upcoming round of the active round-driven phase, with its phase
-    /// name — the `O(1)` hook perturbation drivers poll every round:
+    /// name — the `O(1)` hook fault drivers poll every round:
     /// `Some((phase, r))` iff the next [`Execution::step_round`] will
     /// execute round `r` (equivalently, `status()`'s `phase` zipped with
     /// its `next_round`).
@@ -752,8 +715,8 @@ impl<'a> Execution<'a> {
 /// `&[&dyn LeaderElection]` instead of hard-coding per-algorithm drivers.
 ///
 /// The one required method is [`LeaderElection::start`], which begins a
-/// resumable [`Execution`]; `elect` and `elect_observed` are thin default
-/// drivers over the same handle.
+/// resumable [`Execution`]; `elect` is a thin default driver over the same
+/// handle.
 pub trait LeaderElection {
     /// A short stable identifier used in tables and reports.
     fn name(&self) -> &'static str;
@@ -806,32 +769,6 @@ pub trait LeaderElection {
         opts: &RunOptions,
     ) -> Result<RunReport, ElectionError> {
         self.start(shape, scheduler, opts)?.finish()
-    }
-
-    /// Like [`LeaderElection::elect`], with a [`RunObserver`] receiving
-    /// phase and round callbacks — one driver loop over
-    /// [`LeaderElection::start`] among many.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LeaderElection::elect`].
-    fn elect_observed(
-        &self,
-        shape: &Shape,
-        scheduler: &mut (dyn Scheduler + Send),
-        opts: &RunOptions,
-        observer: &mut dyn RunObserver,
-    ) -> Result<RunReport, ElectionError> {
-        let name = self.name();
-        let mut execution = self.start(shape, scheduler, opts)?;
-        loop {
-            match execution.step_round()? {
-                StepOutcome::PhaseStarted { phase } => observer.on_phase_start(name, phase),
-                StepOutcome::RoundCompleted { phase, rounds } => observer.on_round(phase, rounds),
-                StepOutcome::PhaseEnded { report } => observer.on_phase_end(name, &report),
-                StepOutcome::Finished(report) => return Ok(report),
-            }
-        }
     }
 }
 
@@ -1305,7 +1242,6 @@ impl Election {
             shape,
             algorithm: &PAPER_PIPELINE,
             scheduler: None,
-            observer: None,
             opts: RunOptions::default(),
         }
     }
@@ -1316,7 +1252,6 @@ pub struct ElectionBuilder<'a> {
     shape: &'a Shape,
     algorithm: &'a dyn LeaderElection,
     scheduler: Option<Box<dyn Scheduler + Send + 'a>>,
-    observer: Option<&'a mut dyn RunObserver>,
     opts: RunOptions,
 }
 
@@ -1333,12 +1268,6 @@ impl<'a> ElectionBuilder<'a> {
     /// let a whole erosion front cascade within one round).
     pub fn scheduler(mut self, scheduler: impl Scheduler + Send + 'a) -> Self {
         self.scheduler = Some(Box::new(scheduler));
-        self
-    }
-
-    /// Installs a round/phase observer.
-    pub fn observer(mut self, observer: &'a mut dyn RunObserver) -> Self {
-        self.observer = Some(observer);
         self
     }
 
@@ -1399,7 +1328,6 @@ impl<'a> ElectionBuilder<'a> {
             shape,
             algorithm,
             scheduler,
-            observer,
             opts,
         } = self;
         let mut default_scheduler;
@@ -1414,10 +1342,7 @@ impl<'a> ElectionBuilder<'a> {
                 &mut default_scheduler
             }
         };
-        match observer {
-            Some(observer) => algorithm.elect_observed(shape, scheduler, &opts, observer),
-            None => algorithm.elect(shape, scheduler, &opts),
-        }
+        algorithm.elect(shape, scheduler, &opts)
     }
 }
 
@@ -1503,41 +1428,40 @@ mod tests {
 
     #[test]
     fn observer_sees_phases_and_rounds() {
-        #[derive(Default)]
-        struct Recorder {
-            phases: Vec<(String, String)>,
-            dle_rounds: u64,
-            ended: Vec<String>,
-        }
-        impl RunObserver for Recorder {
-            fn on_phase_start(&mut self, algorithm: &str, phase: &str) {
-                self.phases.push((algorithm.to_string(), phase.to_string()));
-            }
-            fn on_round(&mut self, phase: &str, rounds_so_far: u64) {
-                assert_eq!(phase, phase::DLE);
-                self.dle_rounds = rounds_so_far;
-            }
-            fn on_phase_end(&mut self, _algorithm: &str, report: &PhaseReport) {
-                self.ended.push(report.name.clone());
-            }
-        }
-        let mut recorder = Recorder::default();
+        // Round-by-round instrumentation is a plain step loop over the
+        // execution's outcomes.
+        let mut phases = Vec::new();
+        let mut dle_rounds = 0u64;
+        let mut ended = Vec::new();
         let shape = annulus(4, 2);
-        let report = Election::on(&shape)
-            .scheduler(SeededRandom::new(1))
-            .observer(&mut recorder)
-            .run()
+        let mut scheduler = SeededRandom::new(1);
+        let algorithm = PaperPipeline;
+        let mut execution = algorithm
+            .start(&shape, &mut scheduler, &RunOptions::default())
             .unwrap();
+        let report = loop {
+            match execution.step_round().unwrap() {
+                StepOutcome::PhaseStarted { phase } => {
+                    phases.push((algorithm.name().to_string(), phase.to_string()));
+                }
+                StepOutcome::RoundCompleted { phase, rounds } => {
+                    assert_eq!(phase, phase::DLE);
+                    dle_rounds = rounds;
+                }
+                StepOutcome::PhaseEnded { report } => ended.push(report.name.clone()),
+                StepOutcome::Finished(report) => break report,
+            }
+        };
         assert_eq!(
-            recorder.phases,
+            phases,
             [
                 ("dle+collect".to_string(), phase::OBD.to_string()),
                 ("dle+collect".to_string(), phase::DLE.to_string()),
                 ("dle+collect".to_string(), phase::COLLECT.to_string()),
             ]
         );
-        assert_eq!(recorder.ended, [phase::OBD, phase::DLE, phase::COLLECT]);
-        assert_eq!(recorder.dle_rounds, report.phase_rounds(phase::DLE));
+        assert_eq!(ended, [phase::OBD, phase::DLE, phase::COLLECT]);
+        assert_eq!(dle_rounds, report.phase_rounds(phase::DLE));
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl BatchScenario {
 /// execute on worker threads: every worker starts its own execution and
 /// hands it to the (stateless, `Sync`) driver, so batched runs stay
 /// bit-identical to sequential ones. `pm-scenarios` uses this to fire
-/// perturbation scripts inside batched runs; a future fair scheduler can
+/// fault scripts inside batched runs; a future fair scheduler can
 /// interleave the executions instead of finishing each one eagerly.
 pub type JobDriver<'a> =
     &'a (dyn for<'s> Fn(Execution<'s>) -> Result<RunReport, ElectionError> + Sync);
@@ -137,7 +137,7 @@ impl<'a> BatchJob<'a> {
         }
     }
 
-    /// Attaches a custom execution driver (perturbation loops, tracing).
+    /// Attaches a custom execution driver (fault-script loops, tracing).
     pub fn driven(mut self, driver: JobDriver<'a>) -> BatchJob<'a> {
         self.driver = Some(driver);
         self

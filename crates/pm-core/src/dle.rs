@@ -19,8 +19,8 @@
 
 use pm_amoebot::algorithm::{ActivationContext, Algorithm, InitContext};
 use pm_amoebot::scheduler::{RunError, Runner, Scheduler};
+use pm_amoebot::stats::RunStats;
 use pm_amoebot::system::ParticleSystem;
-use pm_amoebot::trace::RunStats;
 use pm_grid::{local_sce, Direction, Point, Shape, DIRECTIONS};
 use serde::{Deserialize, Serialize};
 

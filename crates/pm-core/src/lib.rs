@@ -50,8 +50,8 @@ pub mod obd;
 pub mod session;
 
 pub use api::{
-    Election, ElectionBuilder, ElectionError, LeaderElection, NoopObserver, PaperPipeline,
-    PhaseProfile, PhaseReport, RunObserver, RunOptions, RunReport,
+    Election, ElectionBuilder, ElectionError, LeaderElection, PaperPipeline, PhaseProfile,
+    PhaseReport, RunOptions, RunReport,
 };
 pub use batch::{BatchJob, BatchRunner, BatchScenario, SchedulerSpec};
 pub use collect::{CollectOutcome, CollectSimulator};

@@ -201,9 +201,9 @@ impl fmt::Display for RestoreError {
 impl std::error::Error for RestoreError {}
 
 /// One live session: the owned execution plus scheduling bookkeeping and a
-/// caller-defined payload (the server stores each session's perturbation
-/// script here, so threaded sweeps carry the per-session fault hook with the
-/// slot they own).
+/// caller-defined payload (the server stores each session's fault script
+/// here, so threaded sweeps carry the per-session fault hook with the slot
+/// they own).
 struct Slot<P> {
     execution: Execution<'static>,
     payload: P,
@@ -279,7 +279,7 @@ impl<P> Slot<P> {
 /// the [module docs](self) for the model.
 ///
 /// The payload type `P` is per-session state swept along with the execution
-/// (the server keeps each session's perturbation script there); use `()`
+/// (the server keeps each session's fault script there); use `()`
 /// when no per-session hook state is needed.
 pub struct SessionScheduler<P = ()> {
     slots: BTreeMap<SessionId, Slot<P>>,
@@ -308,7 +308,7 @@ pub struct SweepTotals {
 
 /// The hook type sweeps thread through to every step: called with the
 /// session's payload and execution *before* each [`Execution::step_round`],
-/// exactly like a perturbation script's caller-side loop.
+/// exactly like a fault script's caller-side loop.
 pub type StepHook<'h, P> = &'h (dyn Fn(&mut P, &mut Execution<'static>) + Sync);
 
 /// The no-op hook for sessions without fault injection.
@@ -418,7 +418,7 @@ impl<P: Send> SessionScheduler<P> {
     }
 
     /// Mutable access to the session's payload (the server appends
-    /// `perturb` events to the stored script through this).
+    /// injected fault processes to the stored script through this).
     pub fn payload_mut(&mut self, id: SessionId) -> Option<&mut P> {
         self.slots.get_mut(&id).map(|slot| &mut slot.payload)
     }

@@ -11,8 +11,8 @@
 //!   contracted.
 
 use pm_amoebot::scheduler::{Runner, SeededRandom};
+use pm_amoebot::stats::RunStats;
 use pm_amoebot::system::ParticleSystem;
-use pm_amoebot::trace::RunStats;
 use pm_core::dle::{DleAlgorithm, DleMemory, Status};
 use pm_grid::builder::{annulus, hexagon, swiss_cheese};
 use pm_grid::{Point, Shape, DIRECTIONS};

@@ -1,16 +1,17 @@
 //! Deterministic fault injection and recovery measurement.
 //!
-//! This crate generalises the one-shot reset-and-recover perturbations of
-//! `pm-scenarios` into a full fault model. A [`FaultPlan`] is a seeded,
-//! serializable schedule of fault *processes* — periodic removals, regrow
-//! (particle additions), state corruption, and move-based relocation — each
-//! fired deterministically between rounds through the
+//! This crate is the workspace's one fault model. A [`FaultPlan`] is a
+//! seeded, serializable schedule of fault *processes* — removals, column
+//! cuts, regrow (particle additions), state corruption, and move-based
+//! relocation — each fired deterministically between rounds through the
 //! [`Execution::system`] mutation surface by a [`FaultScript`]. Whether the
 //! adversary also resets the survivors after each firing is the plan's
-//! [`ResetPolicy`]: `Reinitialize` reproduces the legacy reset-and-recover
-//! semantics, while `None` leaves the algorithm to *recover on its own* —
-//! the regime self-stabilising leader election (Chalopin–Das–Kokkou, arXiv
-//! 2408.08775) is built for, and the regime this crate exists to measure.
+//! [`ResetPolicy`]: `Reinitialize` is the reset-and-recover baseline (the
+//! adversary resets the system into a fresh permitted initial configuration
+//! and the election restarts there), while `None` leaves the algorithm to
+//! *recover on its own* — the regime self-stabilising leader election
+//! (Chalopin–Das–Kokkou, arXiv 2408.08775) is built for, and the regime
+//! this crate exists to measure.
 //!
 //! Recovery is quantified by a [`RecoveryReport`], computed caller-side by
 //! [`RecoveryDriver`]: it drives a steppable execution round by round,
@@ -28,7 +29,9 @@
 
 use pm_amoebot::scheduler::Scheduler;
 use pm_amoebot::system::SystemControl;
-use pm_core::api::{phase, ElectionError, Execution, LeaderElection, RunOptions, RunReport};
+use pm_core::api::{
+    phase, ElectionError, Execution, LeaderElection, RunOptions, RunReport, StepOutcome,
+};
 use pm_core::batch::SchedulerSpec;
 use pm_grid::{Point, Shape};
 use pm_telemetry::trace;
@@ -45,6 +48,16 @@ pub enum FaultKind {
     /// the largest connected component (a fault never empties the system:
     /// at least one particle always survives).
     Removals,
+    /// Remove every particle whose head lies on the axial column
+    /// `q == column`, keeping **all** resulting components (no pruning;
+    /// `count` is unused). On a shape the column actually cuts, this splits
+    /// the system — the split/reconnect dynamic of the paper — and each
+    /// component elects its own leader. A column holding every particle
+    /// removes nothing, so the system is never emptied.
+    SplitColumn {
+        /// The axial `q` coordinate of the cut.
+        column: i32,
+    },
     /// Add up to `count` fresh particles on empty points adjacent to the
     /// occupied shape (regrow), memories initialized on the post-addition
     /// configuration.
@@ -63,20 +76,22 @@ pub enum FaultKind {
 
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            FaultKind::Removals => "removals",
-            FaultKind::Regrow => "regrow",
-            FaultKind::Corruption => "corruption",
-            FaultKind::Relocate => "relocate",
-        };
-        f.write_str(name)
+        match self {
+            FaultKind::Removals => f.write_str("removals"),
+            FaultKind::SplitColumn { column } => write!(f, "split-column[q={column}]"),
+            FaultKind::Regrow => f.write_str("regrow"),
+            FaultKind::Corruption => f.write_str("corruption"),
+            FaultKind::Relocate => f.write_str("relocate"),
+        }
     }
 }
 
 /// One deterministic fault process: fires at round `start`, then every
 /// `period` rounds until `until` (inclusive). `period == 0` means one-shot
 /// (fires at `start` only). Rounds are 0-based within the election's
-/// round-driven phase, exactly as `PerturbationSpec` rounds.
+/// round-driven phase (`dle` for the paper pipeline, `election` for the
+/// baselines that run one); a process scheduled after the election
+/// terminated simply never fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultProcess {
     /// What the process does when it fires.
@@ -88,7 +103,7 @@ pub struct FaultProcess {
     /// Last round (inclusive) the process may fire at; ignored for
     /// one-shot processes.
     pub until: u64,
-    /// How many particles each firing targets.
+    /// How many particles each firing targets (unused by `SplitColumn`).
     pub count: u32,
 }
 
@@ -165,14 +180,14 @@ pub enum ResetPolicy {
     #[default]
     None,
     /// Re-initialize every surviving particle after each firing — the
-    /// legacy reset-and-recover semantics of `PerturbationSpec`, kept as
-    /// the labelled baseline.
+    /// reset-and-recover baseline: rounds, activations and moves keep
+    /// accumulating, so the report shows the cost of re-election.
     Reinitialize,
 }
 
-/// A deterministic seeded fault schedule: the generalisation of a
-/// perturbation list. Serializable, so scenario specs and server sessions
-/// carry plans verbatim and checkpoints replay them bit-identically.
+/// A deterministic seeded fault schedule. Serializable, so scenario specs
+/// and server sessions carry plans verbatim and checkpoints replay them
+/// bit-identically.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Master seed; each firing reseeds from `(seed, process index, round)`.
@@ -182,10 +197,6 @@ pub struct FaultPlan {
     /// The fault processes, fired in order on rounds where several are due.
     pub processes: Vec<FaultProcess>,
 }
-
-/// The wire/spec-level alias used by `pm-scenarios` and the server
-/// protocol: a scenario's fault specification *is* a fault plan.
-pub type FaultSpec = FaultPlan;
 
 impl FaultPlan {
     /// A plan with the given seed and no processes (add with
@@ -274,8 +285,7 @@ fn frontier(shape: &Shape) -> Vec<Point> {
 
 /// A fault plan bound to one run: fires each due process before the
 /// matching round of the election's round-driven phase, through
-/// [`Execution::system`]. The runtime mirror of `PerturbationScript`, with
-/// periodic processes and per-firing reseeding.
+/// [`Execution::system`], reseeding every firing from the plan seed.
 #[derive(Clone, Debug)]
 pub struct FaultScript {
     plan: FaultPlan,
@@ -365,8 +375,8 @@ impl FaultScript {
         let Some((phase_name, round)) = execution.next_round() else {
             return 0;
         };
-        // Faults target the election's round-driven phase, exactly as
-        // perturbations do.
+        // Faults target the election's round-driven phase; OBD and Collect
+        // are simulated in closed form and never expose a system.
         if phase_name != phase::DLE && phase_name != phase::ELECTION {
             return 0;
         }
@@ -406,6 +416,22 @@ impl FaultScript {
         due.len()
     }
 
+    /// Drives the execution to completion, firing due processes before
+    /// every round, and returns the final report.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the underlying election surfaces
+    /// (see [`LeaderElection::elect`]).
+    pub fn drive(&mut self, mut execution: Execution<'_>) -> Result<RunReport, ElectionError> {
+        loop {
+            self.apply_due(&mut execution);
+            if let StepOutcome::Finished(report) = execution.step_round()? {
+                return Ok(report);
+            }
+        }
+    }
+
     /// Applies one firing of one process to the system.
     fn apply_process(
         &mut self,
@@ -428,6 +454,20 @@ impl FaultScript {
                 }
                 prune_to_largest_component(system);
                 self.removed += before - system.particle_count();
+            }
+            FaultKind::SplitColumn { column } => {
+                let on_column: Vec<Point> = system
+                    .particle_positions()
+                    .into_iter()
+                    .filter(|p| p.q == column)
+                    .collect();
+                if on_column.len() < system.particle_count() {
+                    for p in on_column {
+                        if system.remove_at(p) {
+                            self.removed += 1;
+                        }
+                    }
+                }
             }
             FaultKind::Regrow => {
                 let mut candidates = frontier(&system.occupied_shape());
@@ -557,15 +597,7 @@ impl RecoveryDriver {
         opts: &RunOptions,
     ) -> Result<(RecoveryReport, RunReport), ElectionError> {
         let mut script = FaultScript::new(self.plan.clone());
-        let mut execution = algorithm.start(shape, scheduler, opts)?;
-        let report = loop {
-            script.apply_due(&mut execution);
-            if let pm_core::api::StepOutcome::Finished(report) = execution.step_round()? {
-                break report;
-            }
-        };
-        let status = execution.status();
-        debug_assert!(status.finished);
+        let report = script.drive(algorithm.start(shape, scheduler, opts)?)?;
         let recovery_rounds = if script.fired() > 0 {
             report
                 .total_rounds
@@ -629,9 +661,9 @@ pub fn measure_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_baselines::SelfStabMaxElection;
+    use pm_baselines::{ErosionLeaderElection, SelfStabMaxElection};
     use pm_core::api::PaperPipeline;
-    use pm_grid::builder::{hexagon, line};
+    use pm_grid::builder::{dumbbell, hexagon, line};
 
     fn corruption_plan() -> FaultPlan {
         FaultPlan::new(7).process(FaultProcess::once(FaultKind::Corruption, 3, 8))
@@ -830,5 +862,105 @@ mod tests {
         assert_eq!(recovery.recovery_rounds, 0);
         assert_eq!(recovery.last_fault_round, None);
         assert!(recovery.recovered);
+    }
+
+    /// One run of `algorithm` under a reset-and-recover plan holding the
+    /// given one-shot processes.
+    fn reinitialized_run(
+        algorithm: &dyn LeaderElection,
+        shape: &Shape,
+        processes: &[FaultProcess],
+        opts: &RunOptions,
+    ) -> (RecoveryReport, RunReport) {
+        let mut plan = FaultPlan::new(11).reset(ResetPolicy::Reinitialize);
+        plan.processes.extend_from_slice(processes);
+        RecoveryDriver::new(plan)
+            .run(
+                algorithm,
+                shape,
+                &mut *SchedulerSpec::SeededRandom(7).build(),
+                opts,
+            )
+            .unwrap()
+    }
+
+    #[test]
+    fn split_column_yields_one_leader_per_component() {
+        let split = FaultProcess::once(FaultKind::SplitColumn { column: 8 }, 3, 0);
+        let (recovery, report) = reinitialized_run(
+            &PaperPipeline,
+            &dumbbell(3, 10),
+            &[split],
+            &RunOptions {
+                reconnect: false,
+                ..RunOptions::default()
+            },
+        );
+        // The cut splits the dumbbell into its two balls; each elects a
+        // leader independently.
+        assert_eq!(recovery.faults_fired, 1);
+        assert!(recovery.removed > 0);
+        assert_eq!(report.leaders, 2);
+        assert_eq!(report.undecided, 0);
+        assert!(!report.final_connected);
+    }
+
+    #[test]
+    fn split_column_never_removes_every_particle() {
+        // A vertical line: every particle sits on column q = 3.
+        let column = Shape::from_points((0..5).map(|r| Point::new(3, r)));
+        let split = FaultProcess::once(FaultKind::SplitColumn { column: 3 }, 0, 0);
+        let (recovery, report) =
+            reinitialized_run(&PaperPipeline, &column, &[split], &RunOptions::default());
+        assert_eq!(recovery.faults_fired, 1);
+        assert_eq!(recovery.removed, 0);
+        assert_eq!(report.final_positions.len(), report.n);
+        assert!(report.unique_leader());
+    }
+
+    #[test]
+    fn reinitialized_removals_still_elect_a_unique_leader() {
+        let removal = FaultProcess::once(FaultKind::Removals, 4, 10);
+        let (recovery, report) = reinitialized_run(
+            &PaperPipeline,
+            &hexagon(5),
+            &[removal],
+            &RunOptions::default(),
+        );
+        assert!(recovery.removed > 0);
+        assert!(report.unique_leader());
+        assert_eq!(report.undecided, 0);
+        assert!(report.final_connected);
+        // The removed particles are gone from the final configuration.
+        assert!(report.final_positions.len() < report.n);
+        assert!(report.final_positions.len() >= report.n - 10);
+    }
+
+    #[test]
+    fn reinitialized_removals_never_empty_the_system() {
+        let removal = FaultProcess::once(FaultKind::Removals, 1, 1_000);
+        let (_, report) =
+            reinitialized_run(&PaperPipeline, &line(5), &[removal], &RunOptions::default());
+        assert!(report.unique_leader());
+        assert_eq!(report.final_positions.len(), 1);
+    }
+
+    #[test]
+    fn removal_plans_run_on_erosion() {
+        // A line stays hole-free after removal + largest-component pruning,
+        // so the erosion family's hole-free assumption still holds.
+        let removal = FaultProcess::once(FaultKind::Removals, 0, 5);
+        let (recovery, report) = reinitialized_run(
+            &ErosionLeaderElection,
+            &line(20),
+            &[removal],
+            &RunOptions::default(),
+        );
+        assert_eq!(recovery.faults_fired, 1);
+        assert!(report.final_positions.len() < report.n);
+        assert_eq!(
+            report.final_positions.len(),
+            report.leaders + report.followers
+        );
     }
 }

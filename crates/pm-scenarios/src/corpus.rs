@@ -12,7 +12,6 @@
 
 use crate::family::{expand_entries, CorpusEntry, FamilySpec};
 use crate::generators::GeneratorSpec;
-use crate::perturb::PerturbationSpec;
 use crate::spec::{AlgorithmSpec, ScenarioSpec};
 use pm_amoebot::system::OccupancyBackend;
 use pm_core::api::RunOptions;
@@ -48,6 +47,11 @@ fn dle_only() -> RunOptions {
         reconnect: false,
         ..RunOptions::default()
     }
+}
+
+/// An empty plan that resets the survivors after every firing.
+fn reset_and_recover(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed).reset(ResetPolicy::Reinitialize)
 }
 
 /// The built-in corpus *entries*: concrete scenarios plus family grids, as
@@ -229,18 +233,16 @@ fn builtin_scenarios() -> Vec<ScenarioSpec> {
             }),
     );
 
-    // --- Perturbed runs (the reconnection/dynamics axis) -------------------
+    // --- Split and removal runs (the reconnection/dynamics axis): one-shot
+    // --- faults under reset-and-recover, so the election restarts on the
+    // --- mutated configuration ---------------------------------------------
     corpus.push(
         ScenarioSpec::new(
             "smoke-perturbed-remove",
             GeneratorSpec::Hexagon { radius: 5 },
         )
         .tag(SMOKE)
-        .perturb(PerturbationSpec::RemoveRandom {
-            round: 4,
-            count: 10,
-            seed: 11,
-        }),
+        .faults(reset_and_recover(11).process(FaultProcess::once(FaultKind::Removals, 4, 10))),
     );
     corpus.push(
         ScenarioSpec::new(
@@ -248,17 +250,13 @@ fn builtin_scenarios() -> Vec<ScenarioSpec> {
             GeneratorSpec::SimplyConnectedBlob { n: 150, seed: 9 },
         )
         .tag(SMOKE)
-        .perturb(PerturbationSpec::RemoveRandom {
-            round: 3,
-            count: 15,
-            seed: 3,
-        })
-        .perturb(PerturbationSpec::RemoveRandom {
-            round: 9,
-            count: 15,
-            seed: 4,
-        }),
+        .faults(
+            reset_and_recover(3)
+                .process(FaultProcess::once(FaultKind::Removals, 3, 15))
+                .process(FaultProcess::once(FaultKind::Removals, 9, 15)),
+        ),
     );
+    // The column cut splits the dumbbell: each ball elects its own leader.
     corpus.push(
         ScenarioSpec::new(
             "smoke-perturbed-split",
@@ -269,10 +267,11 @@ fn builtin_scenarios() -> Vec<ScenarioSpec> {
         )
         .tag(SMOKE)
         .options(dle_only())
-        .perturb(PerturbationSpec::SplitColumn {
-            round: 3,
-            column: 8,
-        }),
+        .faults(reset_and_recover(0).process(FaultProcess::once(
+            FaultKind::SplitColumn { column: 8 },
+            3,
+            0,
+        ))),
     );
 
     // --- Fault-plan scenarios (the `faults` suite: CI recovery smoke) ------
@@ -381,11 +380,7 @@ fn builtin_scenarios() -> Vec<ScenarioSpec> {
             GeneratorSpec::SimplyConnectedBlob { n: 400, seed: 23 },
         )
         .tag(FULL)
-        .perturb(PerturbationSpec::RemoveRandom {
-            round: 10,
-            count: 40,
-            seed: 29,
-        }),
+        .faults(reset_and_recover(29).process(FaultProcess::once(FaultKind::Removals, 10, 40))),
     );
     // The erosion family's documented limitation, as data: the run reports
     // `ElectionError::Stuck`, and the suite records the error entry.
@@ -470,7 +465,7 @@ mod tests {
         let smoke = select(&corpus, SMOKE);
         assert!(smoke.len() >= 10, "smoke has {} scenarios", smoke.len());
         assert!(
-            smoke.iter().any(|s| !s.perturbations.is_empty()),
+            smoke.iter().any(|s| s.is_adversarial()),
             "smoke must include a perturbed scenario"
         );
         for spec in smoke {
@@ -507,13 +502,12 @@ mod tests {
         assert!(faults.iter().any(|s| s.faults.reset == ResetPolicy::None));
         for spec in faults {
             assert!(spec.is_adversarial(), "{}", spec.name);
-            assert!(spec.perturbations.is_empty(), "{}", spec.name);
             assert!(
                 spec.build_shape().len() <= 200,
                 "{} exceeds the faults size cap",
                 spec.name
             );
-            assert!(spec.algorithm.supports_perturbations(), "{}", spec.name);
+            assert!(spec.algorithm.supports_faults(), "{}", spec.name);
         }
     }
 

@@ -9,11 +9,10 @@
 //! edit, not code.
 
 use crate::generators::GeneratorSpec;
-use crate::perturb::PerturbationSpec;
 use crate::spec::{AlgorithmSpec, ScenarioSpec};
 use pm_core::api::RunOptions;
 use pm_core::batch::SchedulerSpec;
-use pm_faults::FaultSpec;
+use pm_faults::FaultPlan;
 use serde::{Deserialize, Serialize};
 
 /// One entry of the committed corpus: a concrete scenario, or a family that
@@ -42,8 +41,8 @@ impl CorpusEntry {
 }
 
 /// A scenario family: one generator family swept over a `sizes × seeds`
-/// grid, sharing algorithm, scheduler, options, tags and perturbation
-/// script across all instances.
+/// grid, sharing algorithm, scheduler, options, tags and fault plan across
+/// all instances.
 ///
 /// Expansion is deterministic: instance `(size, seed)` is named
 /// `{name}-n{size}-s{seed}` and built by
@@ -68,16 +67,14 @@ pub struct FamilySpec {
     pub scheduler: SchedulerSpec,
     /// Run options shared by every instance.
     pub options: RunOptions,
-    /// Perturbation script shared by every instance.
-    pub perturbations: Vec<PerturbationSpec>,
     /// Fault plan shared by every instance (empty = fault-free).
-    pub faults: FaultSpec,
+    pub faults: FaultPlan,
 }
 
 impl FamilySpec {
     /// A family with the default algorithm (paper pipeline), the default
     /// measurement scheduler (`SeededRandom(7)`), default options, seed 0,
-    /// no tags and no perturbations.
+    /// no tags and no faults.
     pub fn new(name: impl Into<String>, family: impl Into<String>) -> FamilySpec {
         FamilySpec {
             name: name.into(),
@@ -88,8 +85,7 @@ impl FamilySpec {
             algorithm: AlgorithmSpec::Pipeline,
             scheduler: SchedulerSpec::SeededRandom(7),
             options: RunOptions::default(),
-            perturbations: Vec::new(),
-            faults: FaultSpec::default(),
+            faults: FaultPlan::default(),
         }
     }
 
@@ -129,14 +125,8 @@ impl FamilySpec {
         self
     }
 
-    /// Appends a perturbation event to the shared script.
-    pub fn perturb(mut self, perturbation: PerturbationSpec) -> FamilySpec {
-        self.perturbations.push(perturbation);
-        self
-    }
-
     /// Replaces the shared fault plan.
-    pub fn faults(mut self, faults: FaultSpec) -> FamilySpec {
+    pub fn faults(mut self, faults: FaultPlan) -> FamilySpec {
         self.faults = faults;
         self
     }
@@ -177,7 +167,6 @@ impl FamilySpec {
                     algorithm: self.algorithm,
                     scheduler: self.scheduler,
                     options: self.options,
-                    perturbations: self.perturbations.clone(),
                     faults: self.faults.clone(),
                 });
             }

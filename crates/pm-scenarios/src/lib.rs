@@ -8,14 +8,9 @@
 //!   single re-export surface for the underlying builder functions.
 //! * [`spec`] — [`ScenarioSpec`]: one election run as a JSON value (shape,
 //!   algorithm, scheduler, [`RunOptions`](pm_core::api::RunOptions) knobs,
-//!   perturbation script).
-//! * [`perturb`] — mid-run fault injection: remove-k-at-round-r and
-//!   split-along-a-column events with reset-and-recover semantics, fired by
-//!   a caller-side driver loop over the steppable
-//!   [`Execution`](pm_core::api::Execution) handle.
-//! * [`script`] — [`ScenarioScript`]: the combined adversary of one run
-//!   (perturbation script plus the generalised `pm_faults::FaultPlan`),
-//!   driven by the same caller-side loop.
+//!   and the `pm_faults::FaultPlan` fired mid-run by a caller-side
+//!   `pm_faults::FaultScript` loop over the steppable
+//!   [`Execution`](pm_core::api::Execution) handle).
 //! * [`family`] — scenario families: [`FamilySpec`] parameter grids
 //!   (sizes × seeds) that expand into concrete scenarios at load time.
 //! * [`corpus`] — the committed scenario corpus (`corpus/scenarios.json`,
@@ -36,15 +31,11 @@
 pub mod corpus;
 pub mod family;
 pub mod generators;
-pub mod perturb;
 pub mod runner;
-pub mod script;
 pub mod spec;
 
 pub use corpus::{builtin_corpus, builtin_entries, load_embedded, load_file, select, suite_tags};
 pub use family::{CorpusEntry, FamilySpec};
 pub use generators::GeneratorSpec;
-pub use perturb::{PerturbationScript, PerturbationSpec};
 pub use runner::{report_json, run_suite, ScenarioReport};
-pub use script::ScenarioScript;
 pub use spec::{AlgorithmSpec, ScenarioSpec};

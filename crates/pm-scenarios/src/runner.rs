@@ -1,9 +1,9 @@
 //! Driving scenario suites through the thread-sharded batch runner.
 
-use crate::script::ScenarioScript;
 use crate::spec::ScenarioSpec;
 use pm_core::api::{ElectionError, Execution, RunReport};
 use pm_core::batch::{BatchJob, BatchRunner, BatchScenario};
+use pm_faults::FaultScript;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of one scenario: either a full [`RunReport`] or the error the
@@ -19,8 +19,6 @@ pub struct ScenarioReport {
     pub generator: String,
     /// Initial particle count.
     pub n: usize,
-    /// Number of scripted perturbation events.
-    pub perturbations: usize,
     /// Number of fault-plan processes scheduled by the scenario.
     pub faults: usize,
     /// Whether the run produced a report.
@@ -34,58 +32,27 @@ pub struct ScenarioReport {
 /// Runs a suite through [`BatchRunner`] with the given worker count.
 ///
 /// Results come back in scenario order and are **bit-identical across thread
-/// counts and repeated runs**: every shape, scheduler, perturbation and fault
-/// firing is seeded, the batch merge is deterministic, and each adversarial
-/// run's combined script is a fresh [`ScenarioScript`] built inside the
-/// worker.
+/// counts and repeated runs**: every shape, scheduler and fault firing is
+/// seeded, the batch merge is deterministic, and each faulted run's
+/// [`FaultScript`] is built fresh inside the worker.
 pub fn run_suite(specs: &[&ScenarioSpec], threads: usize) -> Vec<ScenarioReport> {
     type BoxedDriver =
         Box<dyn for<'s> Fn(Execution<'s>) -> Result<RunReport, ElectionError> + Sync>;
-    /// Drives one execution under a fresh script instance — built per *run*
-    /// (inside the worker), so batched adversarial runs equal sequential
-    /// ones.
-    fn drive_scripted(
-        spec: &ScenarioSpec,
-        execution: Execution<'_>,
-    ) -> Result<RunReport, ElectionError> {
-        ScenarioScript::for_spec(spec).drive(execution)
-    }
+    // A fresh script per *run* (inside the worker), so batched faulted runs
+    // equal sequential ones.
     let drivers: Vec<Option<BoxedDriver>> = specs
         .iter()
         .map(|spec| {
-            if spec.is_adversarial() {
-                let spec = (*spec).clone();
+            spec.is_adversarial().then(|| {
+                let plan = spec.faults.clone();
                 let driver: BoxedDriver =
-                    Box::new(move |execution| drive_scripted(&spec, execution));
-                Some(driver)
-            } else {
-                None
-            }
+                    Box::new(move |execution| FaultScript::new(plan.clone()).drive(execution));
+                driver
+            })
         })
         .collect();
-
-    // A perturbation script or fault plan on an algorithm with no
-    // round-driven phase would never fire; reject the scenario up front
-    // rather than report a fault-free run as adversarial.
-    let rejections: Vec<Option<String>> = specs
-        .iter()
-        .map(|spec| {
-            if spec.is_adversarial() && !spec.algorithm.supports_perturbations() {
-                let what = if spec.perturbations.is_empty() {
-                    "fault plan"
-                } else {
-                    "perturbation script"
-                };
-                Some(format!(
-                    "{what} attached to `{}`, which runs no round-driven \
-                     phase — the script would never fire",
-                    spec.algorithm.name()
-                ))
-            } else {
-                None
-            }
-        })
-        .collect();
+    let rejections: Vec<Option<String>> =
+        specs.iter().map(|spec| spec.check_faults().err()).collect();
 
     let shapes: Vec<_> = specs.iter().map(|spec| spec.build_shape()).collect();
     let sizes: Vec<usize> = shapes.iter().map(|shape| shape.len()).collect();
@@ -129,7 +96,6 @@ pub fn run_suite(specs: &[&ScenarioSpec], threads: usize) -> Vec<ScenarioReport>
                 algorithm: spec.algorithm.name().to_string(),
                 generator: spec.generator.to_string(),
                 n,
-                perturbations: spec.perturbations.len(),
                 faults: spec.faults.processes.len(),
                 ok,
                 report,
@@ -160,7 +126,7 @@ mod tests {
         let sharded = run_suite(&smoke, 4);
         assert_eq!(sequential, sharded);
         assert!(sequential.iter().all(|r| r.ok), "smoke runs must succeed");
-        assert!(sequential.iter().any(|r| r.perturbations > 0));
+        assert!(sequential.iter().any(|r| r.faults > 0));
     }
 
     #[test]
@@ -195,49 +161,6 @@ mod tests {
         let error = reports[0].error.as_deref().unwrap_or_default();
         assert!(error.contains("fault plan"), "{error}");
         assert!(error.contains("would never fire"), "{error}");
-    }
-
-    #[test]
-    fn perturbation_scripts_on_closed_form_baselines_are_rejected() {
-        use crate::generators::GeneratorSpec;
-        use crate::perturb::PerturbationSpec;
-        use crate::spec::{AlgorithmSpec, ScenarioSpec};
-        let spec = ScenarioSpec::new("bad", GeneratorSpec::Hexagon { radius: 3 })
-            .algorithm(AlgorithmSpec::RandomizedBoundary)
-            .perturb(PerturbationSpec::RemoveRandom {
-                round: 1,
-                count: 2,
-                seed: 0,
-            });
-        let reports = run_suite(&[&spec], 1);
-        assert_eq!(reports.len(), 1);
-        assert!(!reports[0].ok);
-        assert!(
-            reports[0]
-                .error
-                .as_deref()
-                .unwrap_or_default()
-                .contains("would never fire"),
-            "{:?}",
-            reports[0].error
-        );
-        // The same script on erosion fires (round-driven phase exists). A
-        // line stays hole-free after removal + largest-component pruning,
-        // so the erosion family's hole-free assumption still holds.
-        let erosion = ScenarioSpec::new("ok", GeneratorSpec::Line { n: 20 })
-            .algorithm(AlgorithmSpec::Erosion)
-            .perturb(PerturbationSpec::RemoveRandom {
-                round: 0,
-                count: 5,
-                seed: 0,
-            });
-        let reports = run_suite(&[&erosion], 1);
-        let report = reports[0].report.as_ref().expect("erosion run succeeds");
-        assert!(report.final_positions.len() < report.n);
-        assert_eq!(
-            report.final_positions.len(),
-            report.leaders + report.followers
-        );
     }
 
     #[test]

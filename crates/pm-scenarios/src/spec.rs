@@ -1,13 +1,12 @@
 //! The declarative scenario: everything one election run needs, as data.
 
 use crate::generators::GeneratorSpec;
-use crate::perturb::PerturbationSpec;
 use pm_baselines::{
     ErosionLeaderElection, QuadraticBoundary, RandomizedBoundary, SelfStabMaxElection,
 };
 use pm_core::api::{LeaderElection, PaperPipeline, RunOptions};
 use pm_core::batch::SchedulerSpec;
-use pm_faults::FaultSpec;
+use pm_faults::FaultPlan;
 use pm_grid::Shape;
 use serde::{Deserialize, Serialize};
 
@@ -56,14 +55,13 @@ impl AlgorithmSpec {
         self.instance().name()
     }
 
-    /// Whether the algorithm executes a round-driven phase that perturbation
-    /// scripts can target (an `Execution` with rounds to step and a live
-    /// system to mutate). The boundary baselines are simulated in closed
-    /// form — a script attached to them would never fire, so the suite
-    /// runner rejects such scenarios instead of silently reporting a
-    /// fault-free run as perturbed. The same gate applies to fault plans,
-    /// which fire through the identical round-driven surface.
-    pub fn supports_perturbations(&self) -> bool {
+    /// Whether the algorithm executes a round-driven phase that fault plans
+    /// can target (an `Execution` with rounds to step and a live system to
+    /// mutate). The boundary baselines are simulated in closed form — a
+    /// plan attached to them would never fire, so
+    /// [`ScenarioSpec::check_faults`] rejects such scenarios instead of
+    /// silently reporting a fault-free run as faulted.
+    pub fn supports_faults(&self) -> bool {
         matches!(
             self,
             AlgorithmSpec::Pipeline | AlgorithmSpec::Erosion | AlgorithmSpec::SelfStabMax
@@ -72,9 +70,9 @@ impl AlgorithmSpec {
 }
 
 /// One named, fully declarative election scenario: a generated shape, the
-/// algorithm and scheduler to run it with, the run options, and an optional
-/// perturbation script. Serializable, so whole workload suites live as JSON
-/// corpora (`corpus/scenarios.json`) instead of code.
+/// algorithm and scheduler to run it with, the run options, and a fault
+/// plan (empty for fault-free runs). Serializable, so whole workload suites
+/// live as JSON corpora (`corpus/scenarios.json`) instead of code.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Unique scenario name (referenced by the CLI's `render`/`run`).
@@ -90,18 +88,16 @@ pub struct ScenarioSpec {
     /// Run options (variant knobs: boundary knowledge, reconnection,
     /// occupancy backend, budgets).
     pub options: RunOptions,
-    /// Adversarial events fired mid-run (empty = fault-free).
-    pub perturbations: Vec<PerturbationSpec>,
-    /// The generalised fault schedule (periodic removals, regrow,
+    /// The fault schedule fired mid-run (removals, column cuts, regrow,
     /// corruption, relocation — see `pm_faults::FaultPlan`); an empty plan
     /// schedules nothing.
-    pub faults: FaultSpec,
+    pub faults: FaultPlan,
 }
 
 impl ScenarioSpec {
     /// A scenario with the default algorithm (paper pipeline), the default
     /// measurement scheduler (`SeededRandom(7)`), default options, no tags
-    /// and no perturbations.
+    /// and no faults.
     pub fn new(name: impl Into<String>, generator: GeneratorSpec) -> ScenarioSpec {
         ScenarioSpec {
             name: name.into(),
@@ -110,8 +106,7 @@ impl ScenarioSpec {
             algorithm: AlgorithmSpec::Pipeline,
             scheduler: SchedulerSpec::SeededRandom(7),
             options: RunOptions::default(),
-            perturbations: Vec::new(),
-            faults: FaultSpec::default(),
+            faults: FaultPlan::default(),
         }
     }
 
@@ -139,22 +134,36 @@ impl ScenarioSpec {
         self
     }
 
-    /// Appends a perturbation event.
-    pub fn perturb(mut self, perturbation: PerturbationSpec) -> ScenarioSpec {
-        self.perturbations.push(perturbation);
-        self
-    }
-
     /// Replaces the fault plan.
-    pub fn faults(mut self, faults: FaultSpec) -> ScenarioSpec {
+    pub fn faults(mut self, faults: FaultPlan) -> ScenarioSpec {
         self.faults = faults;
         self
     }
 
-    /// Whether the scenario schedules any adversarial events at all
-    /// (perturbations or fault processes).
+    /// Whether the scenario schedules any fault processes at all.
     pub fn is_adversarial(&self) -> bool {
-        !self.perturbations.is_empty() || !self.faults.is_empty()
+        !self.faults.is_empty()
+    }
+
+    /// Rejects a fault plan attached to an algorithm with no round-driven
+    /// phase ([`AlgorithmSpec::supports_faults`]): the plan would never
+    /// fire, and the run would pass for a faulted one. Every surface that
+    /// starts a scenario — the suite runner, the server, the CLI — checks
+    /// this first.
+    ///
+    /// # Errors
+    ///
+    /// The rejection message, naming the scenario and the algorithm.
+    pub fn check_faults(&self) -> Result<(), String> {
+        if self.is_adversarial() && !self.algorithm.supports_faults() {
+            return Err(format!(
+                "scenario `{}` attaches a fault plan to `{}`, which runs no \
+                 round-driven phase — the plan would never fire",
+                self.name,
+                self.algorithm.name()
+            ));
+        }
+        Ok(())
     }
 
     /// Builds the scenario's initial shape.
@@ -189,12 +198,11 @@ mod tests {
 
     #[test]
     fn self_stab_supports_adversarial_scripts() {
-        // The self-stabilising election runs a round-driven phase, so both
-        // perturbation scripts and fault plans can target it; the
-        // closed-form boundary baselines still cannot.
-        assert!(AlgorithmSpec::SelfStabMax.supports_perturbations());
-        assert!(!AlgorithmSpec::RandomizedBoundary.supports_perturbations());
-        assert!(!AlgorithmSpec::QuadraticBoundary.supports_perturbations());
+        // The self-stabilising election runs a round-driven phase, so fault
+        // plans can target it; the closed-form boundary baselines cannot.
+        assert!(AlgorithmSpec::SelfStabMax.supports_faults());
+        assert!(!AlgorithmSpec::RandomizedBoundary.supports_faults());
+        assert!(!AlgorithmSpec::QuadraticBoundary.supports_faults());
     }
 
     #[test]
@@ -203,24 +211,21 @@ mod tests {
         let spec = ScenarioSpec::new("s", GeneratorSpec::Hexagon { radius: 3 })
             .tag("smoke")
             .algorithm(AlgorithmSpec::Erosion)
-            .scheduler(SchedulerSpec::RoundRobin)
-            .perturb(PerturbationSpec::RemoveRandom {
-                round: 2,
-                count: 3,
-                seed: 1,
-            });
+            .scheduler(SchedulerSpec::RoundRobin);
         assert!(spec.has_tag("smoke"));
         assert!(!spec.has_tag("full"));
         assert_eq!(spec.algorithm, AlgorithmSpec::Erosion);
-        assert_eq!(spec.perturbations.len(), 1);
         assert!(spec.faults.is_empty());
-        assert!(spec.is_adversarial());
+        assert!(!spec.is_adversarial());
         assert_eq!(spec.build_shape().len(), 37);
 
-        let faulted = ScenarioSpec::new("f", GeneratorSpec::Hexagon { radius: 3 })
-            .faults(FaultSpec::new(7).process(FaultProcess::once(FaultKind::Corruption, 3, 8)));
-        assert!(faulted.perturbations.is_empty());
+        let faulted =
+            spec.faults(FaultPlan::new(7).process(FaultProcess::once(FaultKind::Corruption, 3, 8)));
         assert!(faulted.is_adversarial());
-        assert!(!ScenarioSpec::new("q", GeneratorSpec::Line { n: 4 }).is_adversarial());
+        assert_eq!(faulted.check_faults(), Ok(()));
+        let closed_form = faulted.algorithm(AlgorithmSpec::QuadraticBoundary);
+        let error = closed_form.check_faults().unwrap_err();
+        assert!(error.contains("fault plan"), "{error}");
+        assert!(error.contains("would never fire"), "{error}");
     }
 }

@@ -2,6 +2,7 @@
 //! byte-identical report JSON — twice in a row, across `BatchRunner` thread
 //! counts, and against the committed golden file.
 
+use pm_faults::ResetPolicy;
 use pm_scenarios::corpus::SMOKE;
 use pm_scenarios::{load_embedded, report_json, run_suite, select};
 
@@ -43,7 +44,13 @@ fn smoke_suite_reports_are_all_ok_and_include_perturbed_runs() {
         assert!(run.rounds_consistent(), "{}", report.scenario);
         assert!(run.leaders >= 1, "{}", report.scenario);
     }
-    let perturbed: Vec<_> = reports.iter().filter(|r| r.perturbations > 0).collect();
+    // The perturbed runs: fault plans under reset-and-recover.
+    let perturbed: Vec<_> = smoke
+        .iter()
+        .zip(&reports)
+        .filter(|(spec, _)| spec.is_adversarial() && spec.faults.reset == ResetPolicy::Reinitialize)
+        .map(|(_, report)| report)
+        .collect();
     assert!(!perturbed.is_empty());
     // The split scenario records the multi-leader outcome; the removal
     // scenarios keep the unique-leader predicate.

@@ -6,9 +6,7 @@ use pm_core::api::RunOptions;
 use pm_core::batch::SchedulerSpec;
 use pm_faults::{FaultKind, FaultPlan, FaultProcess, ResetPolicy};
 use pm_scenarios::generators::FAMILY_COUNT;
-use pm_scenarios::{
-    builtin_corpus, load_embedded, AlgorithmSpec, GeneratorSpec, PerturbationSpec, ScenarioSpec,
-};
+use pm_scenarios::{builtin_corpus, load_embedded, AlgorithmSpec, GeneratorSpec, ScenarioSpec};
 use proptest::prelude::*;
 
 fn algorithm_strategy() -> impl Strategy<Value = AlgorithmSpec> {
@@ -55,19 +53,10 @@ fn options_strategy() -> impl Strategy<Value = RunOptions> {
         )
 }
 
-fn perturbation_strategy() -> impl Strategy<Value = PerturbationSpec> {
-    prop_oneof![
-        (0u64..50, 0u32..40, any::<u64>()).prop_map(|(round, count, seed)| {
-            PerturbationSpec::RemoveRandom { round, count, seed }
-        }),
-        (0u64..50, -10i32..10)
-            .prop_map(|(round, column)| PerturbationSpec::SplitColumn { round, column }),
-    ]
-}
-
 fn fault_process_strategy() -> impl Strategy<Value = FaultProcess> {
     let kind = prop_oneof![
         Just(FaultKind::Removals),
+        (-10i32..10).prop_map(|column| FaultKind::SplitColumn { column }),
         Just(FaultKind::Regrow),
         Just(FaultKind::Corruption),
         Just(FaultKind::Relocate),
@@ -107,11 +96,10 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
         algorithm_strategy(),
         scheduler_strategy(),
         options_strategy(),
-        proptest::collection::vec(perturbation_strategy(), 0..3),
         fault_plan_strategy(),
     )
         .prop_map(
-            |((family, size, seed), tags, algorithm, scheduler, options, perturbations, faults)| {
+            |((family, size, seed), tags, algorithm, scheduler, options, faults)| {
                 let mut spec = ScenarioSpec::new(
                     format!("scenario-{family}-{size}-{seed}"),
                     GeneratorSpec::sample(family, size, seed),
@@ -123,7 +111,6 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
                 for tag in tags {
                     spec = spec.tag(tag);
                 }
-                spec.perturbations = perturbations;
                 spec
             },
         )

@@ -82,7 +82,6 @@ spec = {"Submit": {"spec": {
     "options": {"assume_outer_boundary_known": False, "reconnect": True,
                 "track_connectivity": False, "round_budget": None,
                 "seed": 7, "occupancy": "Dense"},
-    "perturbations": [],
     "faults": {"seed": 7, "reset": "None", "processes": [
         {"kind": "Removals", "start": 1, "period": 2, "until": 5, "count": 2}]},
 }}}

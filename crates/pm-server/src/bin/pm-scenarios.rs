@@ -18,7 +18,7 @@
 //! `run` prints a human-readable summary to stderr and the `RunReport` JSON
 //! array to stdout (or `--out FILE`). `trace` steps one scenario through
 //! the resumable `Execution` handle, printing a status line per round (and
-//! per perturbation event); with `--json` it emits one `ExecutionStatus`
+//! per fault firing); with `--json` it emits one `ExecutionStatus`
 //! JSON line per completed round — the exact shape the server's `watch`
 //! verb streams — followed by the final `RunReport` JSON line. `serve`
 //! speaks the line-delimited JSON protocol of `PROTOCOL.md` over
@@ -53,10 +53,9 @@
 
 use pm_amoebot::ascii::render_shape;
 use pm_core::api::StepOutcome;
+use pm_faults::FaultScript;
 use pm_scenarios::corpus::{self, FAULTS, SMOKE};
-use pm_scenarios::{
-    report_json, run_suite, select, suite_tags, GeneratorSpec, ScenarioScript, ScenarioSpec,
-};
+use pm_scenarios::{report_json, run_suite, select, suite_tags, GeneratorSpec, ScenarioSpec};
 use pm_server::{Request, Response, ServeOptions, ServerCore, ServerLimits};
 use pm_telemetry::{info, logging, trace, Level};
 use std::io::{BufRead, BufReader, Write};
@@ -194,18 +193,17 @@ fn load_corpus(args: &Args) -> Result<Vec<ScenarioSpec>, String> {
 
 fn cmd_list(specs: &[ScenarioSpec]) {
     println!(
-        "{:<32} {:<28} {:>6} {:<20} {:<18} {:>8} {:>7}",
-        "name", "generator", "n", "algorithm", "scheduler", "perturb", "faults"
+        "{:<32} {:<28} {:>6} {:<20} {:<18} {:>7}",
+        "name", "generator", "n", "algorithm", "scheduler", "faults"
     );
     for spec in specs {
         println!(
-            "{:<32} {:<28} {:>6} {:<20} {:<18} {:>8} {:>7}",
+            "{:<32} {:<28} {:>6} {:<20} {:<18} {:>7}",
             spec.name,
             spec.generator.to_string(),
             spec.build_shape().len(),
             spec.algorithm.name(),
             spec.scheduler.name(),
-            spec.perturbations.len(),
             spec.faults.processes.len(),
         );
     }
@@ -225,9 +223,6 @@ fn cmd_render(specs: &[ScenarioSpec], name: &str) -> Result<(), String> {
         spec.algorithm.name(),
         spec.scheduler.name(),
     );
-    for p in &spec.perturbations {
-        println!("perturbation: {p}");
-    }
     for process in &spec.faults.processes {
         println!("fault: {process}");
     }
@@ -246,7 +241,7 @@ fn cmd_run(specs: &[ScenarioSpec], args: &Args, suite: &str) -> Result<(), Strin
     let reports = run_suite(&selected, args.threads.max(1));
     eprintln!(
         "{:<32} {:>6} {:>8} {:>12} {:>9} {:>8} {:<8}",
-        "scenario", "n", "rounds", "activations", "leaders", "perturb", "outcome"
+        "scenario", "n", "rounds", "activations", "leaders", "faults", "outcome"
     );
     let mut failures = 0usize;
     for r in &reports {
@@ -269,7 +264,7 @@ fn cmd_run(specs: &[ScenarioSpec], args: &Args, suite: &str) -> Result<(), Strin
         };
         eprintln!(
             "{:<32} {:>6} {:>8} {:>12} {:>9} {:>8} {:<8}",
-            r.scenario, r.n, rounds, activations, leaders, r.perturbations, outcome
+            r.scenario, r.n, rounds, activations, leaders, r.faults, outcome
         );
     }
     eprintln!(
@@ -303,23 +298,15 @@ fn cmd_trace(specs: &[ScenarioSpec], name: &str, json: bool, profile: bool) -> R
         .iter()
         .find(|s| s.name == name)
         .ok_or_else(|| format!("no scenario named `{name}` (try `pm-scenarios list`)"))?;
-    if spec.is_adversarial() && !spec.algorithm.supports_perturbations() {
-        return Err(format!(
-            "scenario `{name}` attaches an adversarial script to `{}`, which runs no \
-             round-driven phase",
-            spec.algorithm.name()
-        ));
-    }
+    spec.check_faults()?;
     let shape = spec.build_shape();
     let header = format!(
-        "tracing {} — {} (n = {}, algorithm = {}, scheduler = {}, {} perturbation event(s), \
-         {} fault process(es))",
+        "tracing {} — {} (n = {}, algorithm = {}, scheduler = {}, {} fault process(es))",
         spec.name,
         spec.generator,
         shape.len(),
         spec.algorithm.name(),
         spec.scheduler.name(),
-        spec.perturbations.len(),
         spec.faults.processes.len(),
     );
     if json {
@@ -336,15 +323,15 @@ fn cmd_trace(specs: &[ScenarioSpec], name: &str, json: bool, profile: bool) -> R
     if profile {
         execution.enable_profiling();
     }
-    let mut script = ScenarioScript::for_spec(spec);
+    let mut script = FaultScript::new(spec.faults.clone());
     let report = loop {
-        // The caller owns the loop: fire due events and fault processes
-        // against the live system, then pump one step.
+        // The caller owns the loop: fire due fault processes against the
+        // live system, then pump one step.
         let fired_now = script.apply_due(&mut execution);
         if fired_now > 0 && !json {
             let status = execution.status();
             println!(
-                "  !! {fired_now} adversarial event(s) fired before round {}; {} particle(s) remain",
+                "  !! {fired_now} fault process(es) fired before round {}; {} particle(s) remain",
                 status.next_round.unwrap_or(status.rounds_in_phase),
                 status.decided + status.undecided
             );
@@ -394,22 +381,14 @@ fn cmd_trace(specs: &[ScenarioSpec], name: &str, json: bool, profile: bool) -> R
         }
         return Ok(());
     }
-    if script.perturbations().fired() > 0 {
-        println!(
-            "perturbations: {} event(s) fired, {} particle(s) removed",
-            script.perturbations().fired(),
-            script.perturbations().removed()
-        );
-    }
-    if script.faults().fired() > 0 {
-        let faults = script.faults();
+    if script.fired() > 0 {
         println!(
             "faults: {} firing(s) — {} removed, {} added, {} corrupted, {} relocated",
-            faults.fired(),
-            faults.removed(),
-            faults.added(),
-            faults.corrupted(),
-            faults.relocated()
+            script.fired(),
+            script.removed(),
+            script.added(),
+            script.corrupted(),
+            script.relocated()
         );
     }
     println!(
@@ -458,13 +437,7 @@ fn cmd_profile(specs: &[ScenarioSpec], name: &str, args: &Args) -> Result<(), St
         .iter()
         .find(|s| s.name == name)
         .ok_or_else(|| format!("no scenario named `{name}` (try `pm-scenarios list`)"))?;
-    if spec.is_adversarial() && !spec.algorithm.supports_perturbations() {
-        return Err(format!(
-            "scenario `{name}` attaches an adversarial script to `{}`, which runs no \
-             round-driven phase",
-            spec.algorithm.name()
-        ));
-    }
+    spec.check_faults()?;
     if !trace::install(trace::DEFAULT_CAPACITY) {
         return Err("a trace recorder is already installed".to_string());
     }
@@ -565,7 +538,7 @@ fn profile_run(spec: &ScenarioSpec) -> Result<pm_core::api::RunReport, String> {
         .start(&shape, &mut *scheduler, &spec.options)
         .map_err(|e| format!("start: {e}"))?;
     execution.enable_profiling();
-    let mut script = ScenarioScript::for_spec(spec);
+    let mut script = FaultScript::new(spec.faults.clone());
     let _session = trace::span("session", format!("session:{}", spec.name));
     let mut phase_span: Option<pm_telemetry::SpanGuard> = None;
     loop {

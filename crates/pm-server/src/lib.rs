@@ -4,11 +4,11 @@
 //! owned steppable executions
 //! ([`LeaderElection::start_owned`](pm_core::api::LeaderElection::start_owned)),
 //! the cooperative [`SessionScheduler`](pm_core::session::SessionScheduler),
-//! declarative [`ScenarioSpec`](pm_scenarios::ScenarioSpec)s and perturbation
-//! scripts. This crate adds the wire:
+//! declarative [`ScenarioSpec`](pm_scenarios::ScenarioSpec)s and their
+//! `pm_faults` fault scripts. This crate adds the wire:
 //!
 //! * [`protocol`] — the line-delimited JSON [`Request`]/[`Response`] verbs
-//!   (`submit`, `status`, `watch`, `run`, `perturb`, `pause`, `resume`,
+//!   (`submit`, `status`, `watch`, `run`, `fault`, `pause`, `resume`,
 //!   `cancel`, `checkpoint`, `restore`, `sessions`, `stats`, `metrics`,
 //!   `shutdown`), documented with examples in `PROTOCOL.md` at the
 //!   repository root.

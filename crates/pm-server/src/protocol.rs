@@ -12,7 +12,7 @@
 use pm_core::api::{ExecutionStatus, RunReport};
 use pm_core::session::{ExecutionCheckpoint, SessionId};
 use pm_faults::FaultProcess;
-use pm_scenarios::{PerturbationSpec, ScenarioSpec};
+use pm_scenarios::ScenarioSpec;
 use pm_telemetry::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -45,20 +45,11 @@ pub enum Request {
         /// The session to finish.
         session: SessionId,
     },
-    /// Injects an adversarial event into a live session's script. Rejected
-    /// once the session has finished or already advanced past the event's
-    /// round (accepted events always replay identically from a checkpoint).
-    Perturb {
-        /// The session to perturb.
-        session: SessionId,
-        /// The event to append to the session's script.
-        event: PerturbationSpec,
-    },
-    /// Appends a fault process to a live session's plan (the generalised
-    /// adversary: periodic removals, regrow, corruption, relocation). The
-    /// same rejection rules as `Perturb` apply: finished sessions, sessions
-    /// whose round cursor already passed the process's first firing round,
-    /// and algorithms with no round-driven phase are rejected, so accepted
+    /// Appends a fault process to a live session's plan (removals, column
+    /// cuts, regrow, corruption, relocation), fired under the reset policy
+    /// the plan was submitted with. Finished sessions, sessions whose round
+    /// cursor already passed the process's first firing round, and
+    /// algorithms with no round-driven phase are rejected, so accepted
     /// processes always replay identically from a checkpoint.
     Fault {
         /// The session to fault.
@@ -157,13 +148,6 @@ pub enum Response {
         /// The election error, rendered.
         error: String,
     },
-    /// `Perturb` acknowledged.
-    Perturbed {
-        /// The perturbed session.
-        session: SessionId,
-        /// Total events now in the session's script.
-        events: usize,
-    },
     /// `Fault` acknowledged.
     Faulted {
         /// The faulted session.
@@ -229,7 +213,7 @@ pub enum Response {
         message: String,
     },
     /// The request could not be served (unknown session, invalid spec,
-    /// malformed JSON, rejected perturbation or checkpoint…).
+    /// malformed JSON, rejected fault process or checkpoint…).
     Error {
         /// What went wrong.
         message: String,
@@ -298,14 +282,14 @@ pub struct SessionSummary {
 }
 
 /// A restorable session snapshot: the full scenario (original plus every
-/// injected perturbation) and the execution's replay checkpoint. Restoring
+/// injected fault process) and the execution's replay checkpoint. Restoring
 /// rebuilds the scenario from scratch and replays
-/// [`ExecutionCheckpoint::steps`] steps with the perturbation script live —
+/// [`ExecutionCheckpoint::steps`] steps with the fault script live —
 /// strict determinism makes the result byte-identical to the original
 /// session, which the checkpoint's counters validate.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
-    /// The scenario to rebuild (perturbations include injected events).
+    /// The scenario to rebuild (its fault plan includes injected processes).
     pub spec: ScenarioSpec,
     /// The replay cursor and validation counters.
     pub execution: ExecutionCheckpoint,
@@ -326,17 +310,13 @@ mod tests {
                 session: 1,
                 rounds: 3,
             },
-            Request::Perturb {
-                session: 1,
-                event: PerturbationSpec::RemoveRandom {
-                    round: 5,
-                    count: 2,
-                    seed: 9,
-                },
-            },
             Request::Fault {
                 session: 1,
                 process: FaultProcess::periodic(pm_faults::FaultKind::Removals, 2, 3, 11, 4),
+            },
+            Request::Fault {
+                session: 1,
+                process: FaultProcess::once(pm_faults::FaultKind::SplitColumn { column: -2 }, 5, 0),
             },
             Request::Sessions,
             Request::Shutdown,

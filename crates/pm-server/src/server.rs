@@ -14,8 +14,8 @@ use crate::protocol::{Request, Response, ServerStats, SessionCheckpoint, Session
 use crate::telemetry::{as_micros, ServerTelemetry};
 use pm_core::api::Execution;
 use pm_core::session::{Goal, SessionId, SessionScheduler};
-use pm_faults::FaultProcess;
-use pm_scenarios::{PerturbationSpec, ScenarioScript, ScenarioSpec};
+use pm_faults::{FaultProcess, FaultScript};
+use pm_scenarios::ScenarioSpec;
 use pm_telemetry::{trace, warn};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -25,11 +25,10 @@ use std::time::{Duration, Instant};
 const LOG: &str = "pm_server::core";
 
 /// The per-step hook every session runs under: fire the session's due
-/// perturbation events and fault processes against the live system before
-/// the next round. Live stepping and checkpoint replay share this hook,
-/// which is what makes restored sessions reproduce adversarial runs
-/// exactly.
-fn apply_scripts(script: &mut ScenarioScript, execution: &mut Execution<'static>) {
+/// fault processes against the live system before the next round. Live
+/// stepping and checkpoint replay share this hook, which is what makes
+/// restored sessions reproduce faulted runs exactly.
+fn apply_faults(script: &mut FaultScript, execution: &mut Execution<'static>) {
     script.apply_due(execution);
 }
 
@@ -50,8 +49,8 @@ pub struct ServerLimits {
 /// [module docs](self) for the scheduling model and `PROTOCOL.md` for the
 /// wire protocol.
 pub struct ServerCore {
-    scheduler: SessionScheduler<ScenarioScript>,
-    /// Each session's scenario, kept current with injected perturbations —
+    scheduler: SessionScheduler<FaultScript>,
+    /// Each session's scenario, kept current with injected fault processes —
     /// this is what a checkpoint persists, so a fresh process can rebuild
     /// the session from nothing but the checkpoint.
     specs: BTreeMap<SessionId, ScenarioSpec>,
@@ -221,10 +220,6 @@ impl ServerCore {
                 self.run(session, out);
                 false
             }
-            Request::Perturb { session, event } => {
-                out.push(self.perturb(session, event));
-                false
-            }
             Request::Fault { session, process } => {
                 out.push(self.fault(session, process));
                 false
@@ -277,7 +272,6 @@ impl ServerCore {
             Request::Status { .. } => "status",
             Request::Watch { .. } => "watch",
             Request::Run { .. } => "run",
-            Request::Perturb { .. } => "perturb",
             Request::Fault { .. } => "fault",
             Request::Pause { .. } => "pause",
             Request::Resume { .. } => "resume",
@@ -298,7 +292,6 @@ impl ServerCore {
             Request::Status { session }
             | Request::Watch { session, .. }
             | Request::Run { session }
-            | Request::Perturb { session, .. }
             | Request::Fault { session, .. }
             | Request::Pause { session }
             | Request::Resume { session }
@@ -326,7 +319,7 @@ impl ServerCore {
     fn drive(&mut self, session: SessionId) {
         while self.scheduler.runnable(session) {
             let swept = Instant::now();
-            self.scheduler.sweep(&apply_scripts);
+            self.scheduler.sweep(&apply_faults);
             self.telemetry
                 .sweep_duration_us
                 .observe(as_micros(swept.elapsed()));
@@ -350,8 +343,7 @@ impl ServerCore {
                 }
                 _ => continue,
             };
-            if let Some(script) = self.scheduler.payload_mut(id) {
-                let faults = script.faults();
+            if let Some(faults) = self.scheduler.payload(id) {
                 if faults.fired() > 0 {
                     let recovery_rounds =
                         total_rounds.saturating_sub(faults.rounds_at_last_fault());
@@ -464,9 +456,10 @@ impl ServerCore {
     /// since its last save has an up-to-date file on disk.
     fn cursor(&self, session: SessionId) -> (u64, u64, usize) {
         let view = self.scheduler.view(session).expect("live session");
-        let events = self.specs.get(&session).map_or(0, |spec| {
-            spec.perturbations.len() + spec.faults.processes.len()
-        });
+        let events = self
+            .specs
+            .get(&session)
+            .map_or(0, |spec| spec.faults.processes.len());
         (view.steps, view.rounds, events)
     }
 
@@ -559,42 +552,32 @@ impl ServerCore {
         ServerCore::error(format!("no session {session}"))
     }
 
-    /// Starts an owned execution for a scenario — the shared path behind
-    /// `submit` and `restore`.
-    fn start(spec: &ScenarioSpec) -> Result<Execution<'static>, String> {
-        if spec.is_adversarial() && !spec.algorithm.supports_perturbations() {
-            let what = if spec.perturbations.is_empty() {
-                "fault plan"
-            } else {
-                "perturbation script"
-            };
-            return Err(format!(
-                "scenario `{}` attaches a {what} to `{}`, which runs no \
-                 round-driven phase",
-                spec.name,
-                spec.algorithm.name()
-            ));
-        }
+    /// Starts an owned, profiled execution for a scenario — the shared path
+    /// behind `submit` and `restore`. Returns it with the initial particle
+    /// count, so the shape is built exactly once per start.
+    fn start(spec: &ScenarioSpec) -> Result<(Execution<'static>, usize), String> {
+        spec.check_faults()?;
         let shape = spec.build_shape();
-        spec.algorithm
+        let mut execution = spec
+            .algorithm
             .instance()
             .start_owned(&shape, spec.scheduler.build(), &spec.options)
-            .map_err(|e| format!("start `{}`: {e}", spec.name))
+            .map_err(|e| format!("start `{}`: {e}", spec.name))?;
+        // Profiles feed the registry when the session finishes; they never
+        // touch the deterministic report fields or checkpoint replay.
+        execution.enable_profiling();
+        Ok((execution, shape.len()))
     }
 
     fn submit(&mut self, spec: ScenarioSpec) -> Response {
         if let Some(busy) = self.at_budget() {
             return busy;
         }
-        let mut execution = match ServerCore::start(&spec) {
-            Ok(execution) => execution,
+        let (execution, n) = match ServerCore::start(&spec) {
+            Ok(started) => started,
             Err(message) => return ServerCore::error(message),
         };
-        // Profiles feed the registry when the session finishes; they never
-        // touch the deterministic report fields or checkpoint replay.
-        execution.enable_profiling();
-        let n = spec.build_shape().len();
-        let script = ScenarioScript::for_spec(&spec);
+        let script = FaultScript::new(spec.faults.clone());
         let session = self.scheduler.admit(execution, script);
         let response = Response::Submitted {
             session,
@@ -663,44 +646,11 @@ impl ServerCore {
         out.push(self.outcome_or_status(session));
     }
 
-    fn perturb(&mut self, session: SessionId, event: PerturbationSpec) -> Response {
-        let Some(view) = self.scheduler.view(session) else {
-            return ServerCore::unknown(session);
-        };
-        let spec = self.specs.get_mut(&session).expect("specs mirror sessions");
-        if view.done || self.scheduler.status(session).is_some_and(|s| s.finished) {
-            return ServerCore::error(format!("session {session} has finished"));
-        }
-        if !spec.algorithm.supports_perturbations() {
-            return ServerCore::error(format!(
-                "`{}` runs no round-driven phase to perturb",
-                spec.algorithm.name()
-            ));
-        }
-        // Events at rounds the session already completed would fire under
-        // replay but not live, breaking checkpoint determinism — reject
-        // them so every accepted event replays exactly as it ran.
-        if event.round() < view.rounds {
-            return ServerCore::error(format!(
-                "session {session} already completed round {} (event targets round {})",
-                view.rounds,
-                event.round()
-            ));
-        }
-        spec.perturbations.push(event);
-        let script = self.scheduler.payload_mut(session).expect("session exists");
-        script.push_perturbation(event);
-        Response::Perturbed {
-            session,
-            events: script.perturbations().specs().len(),
-        }
-    }
-
-    /// Appends a fault process to a live session's plan — the generalised
-    /// `perturb`, with the identical rejection rules: finished sessions,
-    /// algorithms with no round-driven phase, and processes whose first
-    /// firing round the session already completed are rejected, so every
-    /// accepted process replays identically from a checkpoint.
+    /// Appends a fault process to a live session's plan (fired under the
+    /// plan's reset policy, fixed at submit). Finished sessions, algorithms
+    /// with no round-driven phase, and processes whose first firing round
+    /// the session already completed are rejected, so every accepted
+    /// process replays identically from a checkpoint.
     fn fault(&mut self, session: SessionId, process: FaultProcess) -> Response {
         let Some(view) = self.scheduler.view(session) else {
             return ServerCore::unknown(session);
@@ -709,15 +659,14 @@ impl ServerCore {
         if view.done || self.scheduler.status(session).is_some_and(|s| s.finished) {
             return ServerCore::error(format!("session {session} has finished"));
         }
-        if !spec.algorithm.supports_perturbations() {
+        if !spec.algorithm.supports_faults() {
             return ServerCore::error(format!(
                 "`{}` runs no round-driven phase to fault",
                 spec.algorithm.name()
             ));
         }
-        // Like stale perturbations: a process starting at a round the
-        // session already completed would fire under replay but not live,
-        // breaking checkpoint determinism.
+        // A process starting at a round the session already completed would
+        // fire under replay but not live, breaking checkpoint determinism.
         if process.start < view.rounds {
             return ServerCore::error(format!(
                 "session {session} already completed round {} (process starts at round {})",
@@ -726,10 +675,10 @@ impl ServerCore {
         }
         spec.faults.processes.push(process);
         let script = self.scheduler.payload_mut(session).expect("session exists");
-        script.push_fault(process);
+        script.push(process);
         Response::Faulted {
             session,
-            processes: script.faults().plan().processes.len(),
+            processes: script.plan().processes.len(),
         }
     }
 
@@ -772,15 +721,14 @@ impl ServerCore {
         if let Some(busy) = self.at_budget() {
             return busy;
         }
-        let mut execution = match ServerCore::start(&checkpoint.spec) {
-            Ok(execution) => execution,
+        let (execution, _) = match ServerCore::start(&checkpoint.spec) {
+            Ok(started) => started,
             Err(message) => return ServerCore::error(message),
         };
-        execution.enable_profiling();
-        let script = ScenarioScript::for_spec(&checkpoint.spec);
+        let script = FaultScript::new(checkpoint.spec.faults.clone());
         match self
             .scheduler
-            .restore(execution, script, &checkpoint.execution, &apply_scripts)
+            .restore(execution, script, &checkpoint.execution, &apply_faults)
         {
             Ok(session) => {
                 self.specs.insert(session, checkpoint.spec);
@@ -900,53 +848,11 @@ mod tests {
     }
 
     #[test]
-    fn perturbations_past_the_cursor_are_rejected() {
-        let mut core = ServerCore::default();
-        let session = submit(&mut core, "a");
-        handle(&mut core, Request::Watch { session, rounds: 5 });
-        let stale = PerturbationSpec::RemoveRandom {
-            round: 2,
-            count: 1,
-            seed: 1,
-        };
-        match handle(
-            &mut core,
-            Request::Perturb {
-                session,
-                event: stale,
-            },
-        )
-        .remove(0)
-        {
-            Response::Error { message } => assert!(message.contains("already completed")),
-            other => panic!("expected Error, got {other:?}"),
-        }
-        let due = PerturbationSpec::RemoveRandom {
-            round: 8,
-            count: 2,
-            seed: 1,
-        };
-        match handle(
-            &mut core,
-            Request::Perturb {
-                session,
-                event: due,
-            },
-        )
-        .remove(0)
-        {
-            Response::Perturbed { events, .. } => assert_eq!(events, 1),
-            other => panic!("expected Perturbed, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn fault_processes_past_the_cursor_are_rejected() {
         use pm_faults::FaultKind;
-        // Satellite contract: fault plans obey exactly the perturbation
-        // cursor rule — a process whose first firing round the session
-        // already completed is rejected with the same wording, so every
-        // accepted process replays identically from a checkpoint.
+        // A process whose first firing round the session already completed
+        // is rejected, so every accepted process replays identically from a
+        // checkpoint.
         let mut core = ServerCore::default();
         let session = submit(&mut core, "a");
         handle(&mut core, Request::Watch { session, rounds: 5 });

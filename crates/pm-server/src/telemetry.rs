@@ -48,7 +48,6 @@ pub const VERBS: &[&str] = &[
     "status",
     "watch",
     "run",
-    "perturb",
     "fault",
     "pause",
     "resume",

@@ -1,5 +1,5 @@
 //! End-to-end suite over the real binary: the committed smoke script drives
-//! a scripted session — submit, watch, mid-flight perturbation, run,
+//! a scripted session — submit, watch, mid-flight fault, run,
 //! checkpoint, **fresh-process** restore, run again — and the transcript
 //! must match the committed golden byte for byte, at every scheduler thread
 //! count. A second test exercises the TCP transport against a live socket.
@@ -71,9 +71,10 @@ fn smoke_transcript_proves_the_full_lifecycle() {
         .count();
     assert!(rounds >= 3, "watch streamed only {rounds} round lines");
 
+    // The mid-flight removal on the reset-and-recover session was accepted.
     assert!(parsed
         .iter()
-        .any(|r| matches!(r, Response::Perturbed { events: 1, .. })));
+        .any(|r| matches!(r, Response::Faulted { processes: 1, .. })));
 
     // Restore replayed the checkpoint's exact cursor in a fresh process.
     assert!(parsed.iter().any(
@@ -87,7 +88,7 @@ fn smoke_transcript_proves_the_full_lifecycle() {
 
     // Three final reports — live run, fault-injected self-stab run, and the
     // restored-after-restart run. Live and restored must be byte-identical,
-    // with a unique leader and the perturbation's removals reflected in the
+    // with a unique leader and the injected removals reflected in the
     // survivors.
     let reports: Vec<_> = parsed
         .iter()
@@ -110,7 +111,7 @@ fn smoke_transcript_proves_the_full_lifecycle() {
     assert_eq!(reports[0].undecided, 0);
     assert!(
         reports[0].final_positions.len() < reports[0].n,
-        "the RemoveRandom perturbation removed no particles"
+        "the injected removal process removed no particles"
     );
     // The fault-injected session recovered a unique leader with no reset —
     // periodic removals plus injected corruption, absorbed in-stride.
@@ -149,7 +150,7 @@ fn tcp_transport_serves_the_same_protocol() {
     }
     let addr = addr.expect("server announced its address");
 
-    let spec = r#"{"Submit":{"spec":{"name":"tcp","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7,"occupancy":"Dense"},"perturbations":[],"faults":{"seed":0,"reset":"None","processes":[]}}}}"#;
+    let spec = r#"{"Submit":{"spec":{"name":"tcp","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7,"occupancy":"Dense"},"faults":{"seed":0,"reset":"None","processes":[]}}}}"#;
 
     // First connection: submit, then drop the connection mid-session.
     let mut first = TcpStream::connect(&addr).expect("connect");

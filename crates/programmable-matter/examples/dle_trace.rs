@@ -3,8 +3,9 @@
 //! `H`/`T` the head/tail of a particle that is currently expanded (mid-march
 //! into a hole).
 //!
-//! Uses `Runner::run_observed` — the same per-round hook the unified API's
-//! `RunObserver` is built on — to render without hand-rolling the run loop.
+//! Drives the `Runner` one asynchronous round at a time with
+//! `Runner::step` — the same stepping surface the steppable `Execution`
+//! handle is built on — and renders between rounds.
 //!
 //! Run with `cargo run --example dle_trace`.
 
@@ -23,25 +24,28 @@ fn main() {
         "Tracing DLE on a perforated hexagon ({} particles):\n",
         shape.len()
     );
-    let stats = runner
-        .run_observed(200, |system, stats| {
-            let frame = render_with(system, |particle, point| {
-                if particle.is_expanded() {
-                    if particle.head() == point {
-                        'H'
-                    } else {
-                        'T'
-                    }
+    while !runner.is_complete() {
+        assert!(
+            runner.stats().rounds < 200,
+            "DLE terminates well within the round budget"
+        );
+        let rounds = runner.step().rounds;
+        let frame = render_with(runner.system(), |particle, point| {
+            if particle.is_expanded() {
+                if particle.head() == point {
+                    'H'
                 } else {
-                    match particle.memory().status {
-                        Status::Leader => 'L',
-                        Status::Follower => 'f',
-                        Status::Undecided => '#',
-                    }
+                    'T'
                 }
-            });
-            println!("after round {}:\n{frame}", stats.rounds);
-        })
-        .expect("DLE terminates well within the round budget");
-    println!("DLE terminated in {} rounds.", stats.rounds);
+            } else {
+                match particle.memory().status {
+                    Status::Leader => 'L',
+                    Status::Follower => 'f',
+                    Status::Undecided => '#',
+                }
+            }
+        });
+        println!("after round {rounds}:\n{frame}");
+    }
+    println!("DLE terminated in {} rounds.", runner.finalize().rounds);
 }

@@ -16,8 +16,8 @@
 //! * [`baselines`] (`pm-baselines`) — the comparison algorithms of Table 1,
 //!   all behind the same [`LeaderElection`] trait.
 //! * [`scenarios`] (`pm-scenarios`) — the declarative scenario subsystem:
-//!   the generator registry, serializable `ScenarioSpec`s with perturbation
-//!   scripts, the committed corpus and the `pm-scenarios` CLI.
+//!   the generator registry, serializable `ScenarioSpec`s with fault plans,
+//!   the committed corpus and the `pm-scenarios` CLI.
 //! * [`analysis`] (`pm-analysis`) — experiment harness regenerating the
 //!   paper's table and the scaling figures over `&dyn LeaderElection`.
 //!
@@ -91,5 +91,5 @@ pub use pm_scenarios as scenarios;
 
 pub use pm_core::api::{
     Election, ElectionBuilder, ElectionError, Execution, ExecutionStatus, LeaderElection,
-    RunObserver, RunOptions, RunReport, StepOutcome,
+    RunOptions, RunReport, StepOutcome,
 };

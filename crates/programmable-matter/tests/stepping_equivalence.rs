@@ -125,7 +125,7 @@ fn stepping_equals_eager_for_pipeline_variants() {
 #[test]
 fn stepping_equals_eager_across_the_smoke_corpus() {
     // Every fault-free smoke scenario: the committed corpus exercises the
-    // full generator × algorithm × scheduler × options surface. (Perturbed
+    // full generator × algorithm × scheduler × options surface. (Faulted
     // scenarios have no eager equivalent — the golden-file suite pins
     // those.)
     let corpus = load_embedded().expect("committed corpus parses");
