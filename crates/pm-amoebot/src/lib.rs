@@ -18,8 +18,10 @@
 //!   handler that only sees local information through
 //!   [`algorithm::ActivationContext`].
 //! * [`scheduler`] — fair strong schedulers (round robin, reversed, seeded
-//!   random, double-activation adversary) and the [`scheduler::Runner`] that
-//!   executes an algorithm to termination while counting rounds.
+//!   random, double-activation adversary), the serializable
+//!   [`scheduler::SchedulerSpec`] that builds them, and the
+//!   [`scheduler::Runner`] that executes an algorithm to termination while
+//!   counting rounds.
 //! * [`ascii`] — rendering of configurations in the style of the paper's
 //!   figures.
 //! * [`stats`] — execution statistics (rounds, moves, disconnection events).
@@ -63,7 +65,7 @@ pub use algorithm::{ActivationContext, Algorithm, InitContext};
 pub use particle::{Particle, ParticleId};
 pub use scheduler::{
     DoubleActivation, ReverseRoundRobin, RoundRobin, Runner, RunnerSnapshot, Scheduler,
-    SchedulerState, SeededRandom,
+    SchedulerSpec, SchedulerState, SeededRandom,
 };
 pub use stats::RunStats;
 pub use system::{

@@ -212,6 +212,47 @@ impl Scheduler for DoubleActivation {
     }
 }
 
+/// A buildable, sendable description of one of the schedulers above.
+///
+/// Scenarios and sessions cross thread boundaries and files, so they carry
+/// a *description* of the scheduler rather than a live `dyn Scheduler`;
+/// every run builds a fresh instance, which also guarantees random streams
+/// never leak between runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SchedulerSpec {
+    /// Creation order, once per round.
+    RoundRobin,
+    /// Reverse creation order, once per round.
+    ReverseRoundRobin,
+    /// A fresh uniformly random order each round, from the given seed.
+    SeededRandom(u64),
+    /// Every particle twice per round (forward then backward).
+    DoubleActivation,
+}
+
+impl SchedulerSpec {
+    /// Builds a fresh scheduler instance (`Send`, so built schedulers can
+    /// back owned executions parked across threads).
+    pub fn build(&self) -> Box<dyn Scheduler + Send> {
+        match self {
+            SchedulerSpec::RoundRobin => Box::new(RoundRobin),
+            SchedulerSpec::ReverseRoundRobin => Box::new(ReverseRoundRobin),
+            SchedulerSpec::SeededRandom(seed) => Box::new(SeededRandom::new(*seed)),
+            SchedulerSpec::DoubleActivation => Box::new(DoubleActivation),
+        }
+    }
+
+    /// The name the built scheduler reports (`Scheduler::name`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            SchedulerSpec::RoundRobin => "round-robin",
+            SchedulerSpec::ReverseRoundRobin => "reverse-round-robin",
+            SchedulerSpec::SeededRandom(_) => "seeded-random",
+            SchedulerSpec::DoubleActivation => "double-activation",
+        }
+    }
+}
+
 /// An error from running an algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
@@ -691,6 +732,18 @@ mod tests {
         assert_eq!(ReverseRoundRobin.name(), "reverse-round-robin");
         assert_eq!(SeededRandom::default().name(), "seeded-random");
         assert_eq!(DoubleActivation.name(), "double-activation");
+    }
+
+    #[test]
+    fn scheduler_specs_build_what_they_name() {
+        for spec in [
+            SchedulerSpec::RoundRobin,
+            SchedulerSpec::ReverseRoundRobin,
+            SchedulerSpec::SeededRandom(7),
+            SchedulerSpec::DoubleActivation,
+        ] {
+            assert_eq!(spec.build().name(), spec.name());
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! One function per experiment of the reproduction (see DESIGN.md §5 and
-//! EXPERIMENTS.md).
+//! One function per experiment of the reproduction. The `reproduce_all`
+//! binary (`pm-bench`) prints each one; the README section "Reproducing
+//! Table 1 and the figures" lists the ids and what each table shows.
 //!
 //! Every function returns a [`Table`] whose rows are the measured series and
 //! whose notes record the derived quantities (scaling exponents, ratios) that
@@ -19,15 +20,15 @@ use crate::stats::ShapeStats;
 use crate::table::Table;
 use crate::workloads;
 use pm_amoebot::scheduler::{
-    DoubleActivation, ReverseRoundRobin, RoundRobin, Scheduler, SeededRandom,
+    DoubleActivation, ReverseRoundRobin, RoundRobin, Scheduler, SchedulerSpec, SeededRandom,
 };
 use pm_baselines::{ErosionLeaderElection, QuadraticBoundary, RandomizedBoundary};
 use pm_core::api::{
     phase, Election, ElectionError, LeaderElection, PaperPipeline, RunOptions, RunReport,
 };
-use pm_core::batch::{BatchJob, BatchRunner, BatchScenario, SchedulerSpec};
 use pm_core::collect::CollectSimulator;
 use pm_core::obd::run_obd;
+use pm_core::session::{no_hook, Goal, SessionScheduler};
 use pm_grid::{Point, Shape};
 
 fn format_ratio(value: f64) -> String {
@@ -50,11 +51,15 @@ fn measurement_scheduler() -> SeededRandom {
     SeededRandom::new(7)
 }
 
-/// The [`SchedulerSpec`] equivalent of [`measurement_scheduler`], for runs
-/// that go through the thread-sharded [`BatchRunner`].
+/// The [`SchedulerSpec`] equivalent of [`measurement_scheduler`], for owned
+/// executions swept by a [`SessionScheduler`].
 const MEASUREMENT_SPEC: SchedulerSpec = SchedulerSpec::SeededRandom(7);
 
-/// Renders one contender's batch result as a table cell. A
+/// Steps each Table 1 session gets per sweep; it only sets how often the
+/// sharded sweeps rebalance the runs still going across threads.
+const SLICE_STEPS: u64 = 256;
+
+/// Renders one contender's result as a table cell. A
 /// [`ElectionError::Stuck`] stall renders as the assumption violation it is
 /// (Table 1's assumption column — erosion on holes); any *other* failure is
 /// a bug in a contender that must terminate (the paper pipeline maps budget
@@ -83,12 +88,12 @@ fn dle_report(shape: &Shape, scheduler: impl Scheduler + Send + 'static) -> RunR
 
 /// **T1 — empirical Table 1.** Round counts of the paper's two variants and
 /// of the baseline families on a mixed shape family, next to the workload
-/// parameters each bound is stated in. The whole shape × contender grid is
-/// one [`BatchRunner`] submission: runs shard across worker threads, and the
-/// deterministic merge order guarantees the table is bit-identical to a
-/// sequential sweep.
+/// parameters each bound is stated in. The whole shape × contender grid
+/// runs as sessions of one [`SessionScheduler`] sharded over every core;
+/// sessions never interact, so the table is bit-identical to a sequential
+/// sweep.
 pub fn experiment_table1(scale: u32) -> Table {
-    let contenders: [(&str, &(dyn LeaderElection + Sync), RunOptions); 5] = [
+    let contenders: [(&str, &dyn LeaderElection, RunOptions); 5] = [
         (
             "DLE+Collect [this, O(D_A)]",
             &PaperPipeline,
@@ -120,26 +125,29 @@ pub fn experiment_table1(scale: u32) -> Table {
     headers.extend(contenders.iter().map(|(label, _, _)| *label));
     let mut table = Table::new(format!("T1: empirical Table 1 (scale {scale})"), &headers);
 
-    // Fan the whole grid out over the batch runner, row-major.
+    // Admit the whole grid, row-major, and sweep it to completion.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut scheduler: SessionScheduler = SessionScheduler::with_threads(SLICE_STEPS, threads);
     let family = workloads::table1_family(scale);
-    let jobs: Vec<BatchJob<'_>> = family
-        .iter()
-        .flat_map(|(label, shape)| {
-            // Warm the shape's analysis cache before cloning so all five
-            // contender scenarios (and ShapeStats below) share one Arc'd
-            // analysis instead of each recomputing it.
-            shape.analyze();
-            contenders.iter().map(|(_, algorithm, opts)| {
-                BatchJob::new(
-                    *algorithm,
-                    BatchScenario::new(label.clone(), shape.clone())
-                        .options(*opts)
-                        .scheduler(MEASUREMENT_SPEC),
-                )
-            })
-        })
-        .collect();
-    let mut results = BatchRunner::new().run_jobs(jobs).into_iter();
+    let mut sessions = Vec::with_capacity(family.len() * contenders.len());
+    for (_, shape) in &family {
+        // Warm the shape's analysis cache before the executions clone it,
+        // so all five contenders (and ShapeStats below) share one Arc'd
+        // analysis instead of each recomputing it.
+        shape.analyze();
+        for (_, algorithm, opts) in &contenders {
+            let started = algorithm.start_owned(shape, MEASUREMENT_SPEC.build(), opts);
+            sessions.push(started.map(|execution| {
+                let id = scheduler.admit(execution, ());
+                scheduler.set_goal(id, Goal::Complete);
+                id
+            }));
+        }
+    }
+    while scheduler.sweep(&no_hook) > 0 {}
+    let mut results = sessions.into_iter().map(|session| {
+        session.and_then(|id| scheduler.outcome(id).expect("swept to completion").clone())
+    });
 
     for (label, shape) in family {
         let stats = ShapeStats::compute(&shape);

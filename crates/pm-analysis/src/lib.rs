@@ -6,8 +6,9 @@
 //! experiments here regenerate an *empirical* Table 1 and one scaling series
 //! per proved bound, so that the relative ordering of algorithms — who wins,
 //! by what factor, and under which assumptions — can be checked directly
-//! against the paper. See `EXPERIMENTS.md` at the repository root for the
-//! mapping and the recorded results.
+//! against the paper. The `reproduce_all` binary (`pm-bench`) prints every
+//! table; the README section "Reproducing Table 1 and the figures" maps
+//! each experiment id to the claim it checks.
 //!
 //! * [`stats`] — per-shape workload statistics (`n`, `D`, `D_A`, `D_G`,
 //!   `L_out`, `L_max`, number of holes).

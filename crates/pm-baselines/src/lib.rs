@@ -25,8 +25,8 @@
 //! [`LeaderElection`](pm_core::api::LeaderElection) trait and returns the
 //! same [`RunReport`](pm_core::api::RunReport) as the paper pipeline, so the
 //! analysis crate tabulates all contenders through one `&dyn LeaderElection`
-//! loop (or ships them to the thread-sharded
-//! [`BatchRunner`](pm_core::batch::BatchRunner)):
+//! loop (or admits them as sessions of one thread-sharded
+//! [`SessionScheduler`](pm_core::session::SessionScheduler)):
 //!
 //! ```
 //! use pm_baselines::{ErosionLeaderElection, QuadraticBoundary, RandomizedBoundary};
@@ -110,17 +110,29 @@ mod tests {
 
     #[test]
     fn baselines_run_through_the_batch_runner() {
-        use pm_core::batch::{BatchRunner, BatchScenario, SchedulerSpec};
-        let scenarios: Vec<BatchScenario> = (0..4)
+        // A batch of baseline runs goes through the one engine: sessions of
+        // a scheduler sweeping on two threads, each run to completion.
+        use pm_amoebot::scheduler::SchedulerSpec;
+        use pm_core::session::{no_hook, Goal, SessionScheduler};
+        let mut scheduler: SessionScheduler = SessionScheduler::with_threads(16, 2);
+        let ids: Vec<_> = (0..4)
             .map(|i| {
-                BatchScenario::new(format!("hexagon-{i}"), hexagon(3))
-                    .scheduler(SchedulerSpec::SeededRandom(i))
+                let execution = ErosionLeaderElection
+                    .start_owned(
+                        &hexagon(3),
+                        SchedulerSpec::SeededRandom(i).build(),
+                        &RunOptions::default(),
+                    )
+                    .unwrap();
+                let id = scheduler.admit(execution, ());
+                scheduler.set_goal(id, Goal::Complete);
+                id
             })
             .collect();
-        let results = BatchRunner::with_threads(2).run(&ErosionLeaderElection, scenarios);
-        assert_eq!(results.len(), 4);
-        for result in results {
-            assert_eq!(result.unwrap().leaders, 1);
+        while scheduler.sweep(&no_hook) > 0 {}
+        for id in ids {
+            let report = scheduler.outcome(id).expect("swept to completion");
+            assert_eq!(report.as_ref().unwrap().leaders, 1);
         }
     }
 }

@@ -1,14 +1,11 @@
-//! Criterion benchmark of the multi-tenant session scheduler: N concurrent
-//! small elections driven to completion through `SessionScheduler` sweeps
-//! (sequential and sharded) against the same N scenarios through the
-//! `BatchRunner`, which finishes each run eagerly. The batch path is the
-//! throughput ceiling — no slice bookkeeping, no owned-execution dispatch —
-//! so the gap is the price of fair round-robin interleaving, which the
-//! server pays to keep thousands of sessions live at once.
+//! Criterion benchmark of the session scheduler, the one engine that drives
+//! executions: N concurrent small elections driven to completion through
+//! `SessionScheduler` sweeps, sequential and sharded over 4 threads. This
+//! is the path both the server and the experiment sweeps take.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pm_amoebot::scheduler::SchedulerSpec;
 use pm_core::api::{LeaderElection, PaperPipeline, RunOptions};
-use pm_core::batch::{BatchRunner, BatchScenario, SchedulerSpec};
 use pm_core::session::{no_hook, Goal, SessionScheduler};
 use pm_grid::builder::hexagon;
 use std::hint::black_box;
@@ -42,34 +39,12 @@ fn sessions_total_rounds(n_sessions: u64, threads: usize) -> u64 {
         .sum()
 }
 
-fn batch_total_rounds(n_sessions: u64, threads: usize) -> u64 {
-    let shape = hexagon(3);
-    let scenarios: Vec<BatchScenario> = (0..n_sessions)
-        .map(|seed| BatchScenario {
-            label: format!("s{seed}"),
-            shape: shape.clone(),
-            options: RunOptions::default(),
-            scheduler: SchedulerSpec::SeededRandom(seed),
-        })
-        .collect();
-    BatchRunner::with_threads(threads)
-        .run(&PaperPipeline, scenarios)
-        .into_iter()
-        .map(|r| r.expect("hexagon elects").total_rounds)
-        .sum()
-}
-
-fn bench_sessions_vs_batch(c: &mut Criterion) {
+fn bench_sessions(c: &mut Criterion) {
     let mut group = c.benchmark_group("sessions");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
     for n_sessions in [16u64, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("batch-seq", n_sessions),
-            &n_sessions,
-            |b, &n| b.iter(|| black_box(batch_total_rounds(n, 1))),
-        );
         group.bench_with_input(
             BenchmarkId::new("scheduler-seq", n_sessions),
             &n_sessions,
@@ -84,5 +59,5 @@ fn bench_sessions_vs_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sessions_vs_batch);
+criterion_group!(benches, bench_sessions);
 criterion_main!(benches);

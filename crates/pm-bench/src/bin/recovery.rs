@@ -23,10 +23,10 @@
 //!
 //! Usage: `cargo run --release -p pm-bench --bin recovery [max_n]`
 
+use pm_amoebot::scheduler::SchedulerSpec;
 use pm_baselines::SelfStabMaxElection;
-use pm_bench::arg_or;
+use pm_bench::{arg_or, merge_sections};
 use pm_core::api::{LeaderElection, PaperPipeline, RunOptions, RunReport, StepOutcome};
-use pm_core::batch::SchedulerSpec;
 use pm_faults::{
     measure_recovery, FaultKind, FaultPlan, FaultProcess, FaultScript, RecoveryReport, ResetPolicy,
 };
@@ -269,17 +269,6 @@ fn main() {
     ]);
 
     let out_path = repo_root.join("BENCH_results.json");
-    let mut root = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<Value>(&text).ok())
-        .and_then(|value| match value {
-            Value::Object(fields) => Some(fields),
-            _ => None,
-        })
-        .unwrap_or_default();
-    root.retain(|(key, _)| key != "recovery");
-    root.push(("recovery".to_string(), section));
-    let text = serde_json::to_string_pretty(&Value::Object(root)).expect("results serialize");
-    std::fs::write(&out_path, text + "\n").expect("write BENCH_results.json");
+    merge_sections(&out_path, vec![("recovery", section)]).expect("write BENCH_results.json");
     println!("wrote {}", out_path.display());
 }

@@ -13,13 +13,13 @@
 //! per-rep ratios** (each rep runs both modes back to back, so drift hits
 //! both sides; asserted at n ≥ 1000, where a run outlasts the noise
 //! floor). Results merge into a `telemetry_overhead` section of
-//! `BENCH_results.json` without touching the throughput sections.
+//! `BENCH_results.json` without touching the other sections.
 //!
 //! Usage: `cargo run --release -p pm-bench --bin telemetry_overhead [max_n]`
 //! (`max_n` caps the scenario size; CI smoke runs pass a small value).
 
 use pm_amoebot::scheduler::SeededRandom;
-use pm_bench::arg_or;
+use pm_bench::{arg_or, merge_sections};
 use pm_core::api::{LeaderElection, PaperPipeline, RunOptions, RunReport};
 use pm_grid::Shape;
 use pm_scenarios::GeneratorSpec;
@@ -175,20 +175,8 @@ fn main() {
         ("results".to_string(), Value::Array(rows)),
     ]);
 
-    // Merge into BENCH_results.json without disturbing the throughput
-    // sections (the file may not exist yet on a fresh checkout).
     let out_path = repo_root.join("BENCH_results.json");
-    let mut root = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<Value>(&text).ok())
-        .and_then(|value| match value {
-            Value::Object(fields) => Some(fields),
-            _ => None,
-        })
-        .unwrap_or_default();
-    root.retain(|(key, _)| key != "telemetry_overhead");
-    root.push(("telemetry_overhead".to_string(), section));
-    let text = serde_json::to_string_pretty(&Value::Object(root)).expect("results serialize");
-    std::fs::write(&out_path, text + "\n").expect("write BENCH_results.json");
+    merge_sections(&out_path, vec![("telemetry_overhead", section)])
+        .expect("write BENCH_results.json");
     println!("wrote {}", out_path.display());
 }

@@ -1,13 +1,11 @@
 //! Throughput benchmark: end-to-end wall-clock cost of full elections
 //! (`OBD → DLE → Collect`) on ball / annulus / random-hole shapes at
-//! n ≈ 100, 1k and 10k, recorded as `BENCH_results.json` at the repo root so
-//! the performance trajectory is tracked across PRs.
-//!
-//! Two sections are measured:
-//!
-//! * per-scenario single-run latency and activations/second;
-//! * the whole scenario set through [`BatchRunner`], sequential (1 thread)
-//!   vs sharded (all cores), asserting the reports are identical.
+//! n ≈ 100, 1k and 10k — per-scenario single-run latency and
+//! activations/second. The numbers go into the `benchmark`, `max_n` and
+//! `results` keys of `BENCH_results.json` at the repo root, so the
+//! performance trajectory is tracked over time; every other section of the
+//! file is left as it was. Many-run throughput is the session scheduler's
+//! to measure (the `sessions` Criterion bench).
 //!
 //! If `BENCH_baseline.json` exists at the repo root (numbers measured on an
 //! earlier revision with this same binary), each scenario also reports the
@@ -17,9 +15,8 @@
 //! (`max_n` caps the scenario size; CI smoke runs pass a small value).
 
 use pm_amoebot::scheduler::SeededRandom;
-use pm_bench::arg_or;
-use pm_core::api::{Election, PaperPipeline, RunReport};
-use pm_core::batch::{BatchRunner, BatchScenario, SchedulerSpec};
+use pm_bench::{arg_or, merge_sections};
+use pm_core::api::{Election, RunReport};
 use pm_grid::Shape;
 use pm_scenarios::GeneratorSpec;
 use serde_json::Value;
@@ -149,24 +146,6 @@ fn load_baseline(path: &std::path::Path) -> Vec<(String, f64)> {
     out
 }
 
-/// Measures the full scenario set through the batch runner with the given
-/// thread count; returns (elapsed_ms, reports).
-fn timed_batch(max_n: u32, threads: usize) -> (f64, Vec<RunReport>) {
-    let batch: Vec<BatchScenario> = scenarios(max_n)
-        .into_iter()
-        .map(|s| BatchScenario::new(s.label, s.shape).scheduler(SchedulerSpec::SeededRandom(7)))
-        .collect();
-    let runner = BatchRunner::with_threads(threads);
-    let start = Instant::now();
-    let results = runner.run(&PaperPipeline, batch);
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    let reports = results
-        .into_iter()
-        .map(|r| r.expect("every scenario elects"))
-        .collect();
-    (elapsed_ms, reports)
-}
-
 fn main() {
     let max_n = arg_or(10_000);
     let repo_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -222,53 +201,18 @@ fn main() {
         results.push(Value::Object(fields));
     }
 
-    // Batch section: the same scenario set, sequential vs thread-sharded,
-    // with identical reports required.
-    let (sequential_ms, sequential_reports) = timed_batch(max_n, 1);
-    let (parallel_ms, parallel_reports) = timed_batch(max_n, BatchRunner::new().threads());
-    assert_eq!(
-        sequential_reports, parallel_reports,
-        "sharded batch must be bit-identical to the sequential batch"
-    );
-    let parallel_speedup = sequential_ms / parallel_ms.max(1e-9);
-    println!(
-        "\nbatch of {}: sequential {:.2} ms, {} threads {:.2} ms ({:.2}x)",
-        sequential_reports.len(),
-        sequential_ms,
-        BatchRunner::new().threads(),
-        parallel_ms,
-        parallel_speedup,
-    );
-
-    let root = Value::Object(vec![
-        (
-            "benchmark".to_string(),
-            Value::Str("pm-bench throughput (full election, SeededRandom(7))".to_string()),
-        ),
-        ("max_n".to_string(), Value::UInt(max_n as u64)),
-        ("results".to_string(), Value::Array(results)),
-        (
-            "batch".to_string(),
-            Value::Object(vec![
-                (
-                    "scenarios".to_string(),
-                    Value::UInt(sequential_reports.len() as u64),
-                ),
-                (
-                    "threads".to_string(),
-                    Value::UInt(BatchRunner::new().threads() as u64),
-                ),
-                ("sequential_ms".to_string(), Value::Float(sequential_ms)),
-                ("parallel_ms".to_string(), Value::Float(parallel_ms)),
-                (
-                    "parallel_speedup".to_string(),
-                    Value::Float((parallel_speedup * 100.0).round() / 100.0),
-                ),
-            ]),
-        ),
-    ]);
-    let text = serde_json::to_string_pretty(&root).expect("results serialize");
     let out_path = repo_root.join("BENCH_results.json");
-    std::fs::write(&out_path, text + "\n").expect("write BENCH_results.json");
+    merge_sections(
+        &out_path,
+        vec![
+            (
+                "benchmark",
+                Value::Str("pm-bench throughput (full election, SeededRandom(7))".to_string()),
+            ),
+            ("max_n", Value::UInt(max_n as u64)),
+            ("results", Value::Array(results)),
+        ],
+    )
+    .expect("write BENCH_results.json");
     println!("wrote {}", out_path.display());
 }

@@ -15,13 +15,13 @@
 //! * [`obd`] — the **Outer-Boundary Detection** primitive (Section 5):
 //!   removes the boundary-knowledge assumption at a cost of `O(L_out + D)`
 //!   rounds, using segment competition over virtual-node rings.
-//! * [`batch`] — the **thread-sharded batch runner**: many independent
-//!   election scenarios fanned out over `std::thread` workers behind the
-//!   same [`LeaderElection`]/[`RunReport`] surface, with a deterministic
-//!   merge order (results are bit-identical to sequential runs).
-//! * [`session`] — the **cooperative session scheduler**: thousands of live
-//!   elections round-robined fairly with per-session step budgets, plus
+//! * [`session`] — the **cooperative session scheduler**, the one engine
+//!   that drives executions: thousands of live elections round-robined
+//!   fairly with per-session step budgets and optionally sharded across
+//!   threads (results are bit-identical at every thread count), plus
 //!   replay-based [`ExecutionCheckpoint`]s that restore byte-identically.
+//!   Experiment sweeps run their many independent elections through it
+//!   with [`Goal::Complete`], exactly as the server runs its sessions.
 //!
 //! # Quickstart
 //!
@@ -43,7 +43,6 @@
 //! ```
 
 pub mod api;
-pub mod batch;
 pub mod collect;
 pub mod dle;
 pub mod obd;
@@ -53,10 +52,9 @@ pub use api::{
     Election, ElectionBuilder, ElectionError, LeaderElection, PaperPipeline, PhaseProfile,
     PhaseReport, RunOptions, RunReport,
 };
-pub use batch::{BatchJob, BatchRunner, BatchScenario, SchedulerSpec};
 pub use collect::{CollectOutcome, CollectSimulator};
 pub use dle::{DleAlgorithm, DleMemory, DleOutcome, Status};
 pub use obd::{CompetitionCostModel, ObdOutcome, ObdSimulator};
 pub use session::{
-    ExecutionCheckpoint, Goal, RestoreError, SessionId, SessionScheduler, SessionView, SweepTotals,
+    ExecutionCheckpoint, Goal, RestoreError, SessionId, SessionScheduler, SessionView,
 };

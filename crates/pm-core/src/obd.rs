@@ -20,7 +20,7 @@
 //! Finally, an *outer token* walks the outer boundary and the result is
 //! flooded to all particles (Section 5.4).
 //!
-//! ## Fidelity note (see DESIGN.md §3)
+//! ## Fidelity note
 //!
 //! Segments are simulated explicitly; the token trains inside one comparison
 //! are charged their pipelined round cost (`C_CMP · |initiator|`, the

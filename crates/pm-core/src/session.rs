@@ -1,10 +1,13 @@
-//! Multi-tenant session scheduling over owned [`Execution`] handles.
+//! Multi-tenant session scheduling over owned [`Execution`] handles — the
+//! workspace's one engine for driving executions.
 //!
-//! The batch runner ([`crate::batch`]) finishes each election eagerly —
-//! right for experiment sweeps, wrong for a long-lived server where
-//! thousands of elections are *live at once* and progress must be fair:
-//! a giant workload must not starve the small ones, and any session must be
-//! pausable, inspectable and cancellable between rounds.
+//! A long-lived server keeps thousands of elections *live at once*, and
+//! progress must be fair: a giant workload must not starve the small ones,
+//! and any session must be pausable, inspectable and cancellable between
+//! rounds. Experiment sweeps (scenario suites, the Table 1 grid) are the
+//! same engine with every session's goal set to [`Goal::Complete`]: admit
+//! the runs, `while scheduler.sweep(hook) > 0 {}`, read the outcomes back
+//! by session id.
 //!
 //! [`SessionScheduler`] holds owned executions
 //! ([`crate::api::LeaderElection::start_owned`]) and advances them
@@ -201,9 +204,9 @@ impl fmt::Display for RestoreError {
 impl std::error::Error for RestoreError {}
 
 /// One live session: the owned execution plus scheduling bookkeeping and a
-/// caller-defined payload (the server stores each session's fault script
-/// here, so threaded sweeps carry the per-session fault hook with the slot
-/// they own).
+/// caller-defined payload (the server and the scenario runner store each
+/// session's fault script here, so threaded sweeps carry the per-session
+/// fault hook with the slot they own).
 struct Slot<P> {
     execution: Execution<'static>,
     payload: P,
@@ -279,31 +282,13 @@ impl<P> Slot<P> {
 /// the [module docs](self) for the model.
 ///
 /// The payload type `P` is per-session state swept along with the execution
-/// (the server keeps each session's fault script there); use `()`
-/// when no per-session hook state is needed.
+/// (the server and the scenario runner keep each session's fault script
+/// there); use `()` when no per-session hook state is needed.
 pub struct SessionScheduler<P = ()> {
     slots: BTreeMap<SessionId, Slot<P>>,
     next_id: SessionId,
     slice_steps: u64,
     threads: usize,
-    totals: SweepTotals,
-}
-
-/// Cumulative sweep accounting, kept by the scheduler across its lifetime.
-/// Deterministic (no wall-clock — callers time sweeps themselves if they
-/// want latency), so it is safe to read anywhere without perturbing
-/// byte-reproducible runs. `slices / sweeps` is the mean number of sessions
-/// granted a slice per sweep — the fairness denominator a server's
-/// telemetry reports alongside sweep latency.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SweepTotals {
-    /// Sweeps performed ([`SessionScheduler::sweep`] calls).
-    pub sweeps: u64,
-    /// Execution steps performed across all sweeps.
-    pub steps: u64,
-    /// Session-slices granted: one per runnable session per sweep,
-    /// whether or not the session used its whole step budget.
-    pub slices: u64,
 }
 
 /// The hook type sweeps thread through to every step: called with the
@@ -339,13 +324,7 @@ impl<P: Send> SessionScheduler<P> {
             next_id: 1,
             slice_steps: slice_steps.max(1),
             threads: threads.max(1),
-            totals: SweepTotals::default(),
         }
-    }
-
-    /// Cumulative sweep accounting since the scheduler was created.
-    pub fn sweep_totals(&self) -> SweepTotals {
-        self.totals
     }
 
     /// Number of live sessions (any goal, paused or not).
@@ -499,9 +478,8 @@ impl<P: Send> SessionScheduler<P> {
             .filter(|(_, slot)| slot.runnable())
             .map(|(id, slot)| (*id, slot))
             .collect();
-        let granted = runnable.len() as u64;
         let workers = self.threads.min(runnable.len());
-        let steps = if workers <= 1 {
+        if workers <= 1 {
             runnable
                 .iter_mut()
                 .map(|(id, slot)| {
@@ -533,11 +511,7 @@ impl<P: Send> SessionScheduler<P> {
                     .map(|handle| handle.join().expect("sweep workers do not panic"))
                     .sum()
             })
-        };
-        self.totals.sweeps += 1;
-        self.totals.steps += steps;
-        self.totals.slices += granted;
-        steps
+        }
     }
 
     /// Sweeps until the given session stops being runnable (goal reached,
@@ -662,7 +636,7 @@ impl<P: Send> SessionScheduler<P> {
 mod tests {
     use super::*;
     use crate::api::{LeaderElection, PaperPipeline, RunOptions};
-    use crate::batch::SchedulerSpec;
+    use pm_amoebot::scheduler::SchedulerSpec;
     use pm_grid::builder::{annulus, hexagon};
 
     fn start(seed: u64) -> Execution<'static> {
@@ -1004,46 +978,5 @@ mod tests {
         assert!(scheduler.status(id).is_none());
         assert!(!scheduler.runnable(id));
         assert_eq!(scheduler.drive(id, &no_hook), 0);
-    }
-
-    #[test]
-    fn sweep_totals_account_every_sweep_step_and_slice() {
-        let mut scheduler: SessionScheduler = SessionScheduler::new(4);
-        assert_eq!(scheduler.sweep_totals(), SweepTotals::default());
-
-        let a = scheduler.admit(start(1), ());
-        let b = scheduler.admit(start(2), ());
-        scheduler.set_goal(a, Goal::Complete);
-        scheduler.set_goal(b, Goal::Complete);
-
-        // Two runnable sessions, each stepped its full budget.
-        let steps = scheduler.sweep(&no_hook);
-        let totals = scheduler.sweep_totals();
-        assert_eq!(
-            totals,
-            SweepTotals {
-                sweeps: 1,
-                steps,
-                slices: 2
-            }
-        );
-
-        // Drain both sessions; every later sweep keeps the books balanced.
-        let mut expected = totals;
-        loop {
-            let granted = u64::from(scheduler.runnable(a)) + u64::from(scheduler.runnable(b));
-            let steps = scheduler.sweep(&no_hook);
-            expected = SweepTotals {
-                sweeps: expected.sweeps + 1,
-                steps: expected.steps + steps,
-                slices: expected.slices + granted,
-            };
-            assert_eq!(scheduler.sweep_totals(), expected);
-            if steps == 0 {
-                break;
-            }
-        }
-        // An idle sweep still counts as a sweep but grants no slices.
-        assert_eq!(scheduler.sweep_totals().sweeps, expected.sweeps);
     }
 }

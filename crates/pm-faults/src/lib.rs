@@ -4,12 +4,14 @@
 //! seeded, serializable schedule of fault *processes* — removals, column
 //! cuts, regrow (particle additions), state corruption, and move-based
 //! relocation — each fired deterministically between rounds through the
-//! [`Execution::system`] mutation surface by a [`FaultScript`]. Whether the
-//! adversary also resets the survivors after each firing is the plan's
-//! [`ResetPolicy`]: `Reinitialize` is the reset-and-recover baseline (the
-//! adversary resets the system into a fresh permitted initial configuration
-//! and the election restarts there), while `None` leaves the algorithm to
-//! *recover on its own* — the regime self-stabilising leader election
+//! [`Execution::system`] mutation surface by a [`FaultScript`], which runs
+//! alone under [`FaultScript::drive`] or as a scheduler session's payload
+//! under the [`apply_faults`] hook. Whether the adversary also resets the
+//! survivors after each firing is the plan's [`ResetPolicy`]:
+//! `Reinitialize` is the reset-and-recover baseline (the adversary resets
+//! the system into a fresh permitted initial configuration and the
+//! election restarts there), while `None` leaves the algorithm to *recover
+//! on its own* — the regime self-stabilising leader election
 //! (Chalopin–Das–Kokkou, arXiv 2408.08775) is built for, and the regime
 //! this crate exists to measure.
 //!
@@ -27,12 +29,11 @@
 //! between firings — so replaying a checkpoint that fast-forwards past
 //! earlier firings still produces bit-identical faults at later rounds.
 
-use pm_amoebot::scheduler::Scheduler;
+use pm_amoebot::scheduler::{Scheduler, SchedulerSpec};
 use pm_amoebot::system::SystemControl;
 use pm_core::api::{
     phase, ElectionError, Execution, LeaderElection, RunOptions, RunReport, StepOutcome,
 };
-use pm_core::batch::SchedulerSpec;
 use pm_grid::{Point, Shape};
 use pm_telemetry::trace;
 use rand::rngs::StdRng;
@@ -527,6 +528,17 @@ impl FaultScript {
             }
         }
     }
+}
+
+/// The per-step hook of every [`SessionScheduler`] session that carries a
+/// [`FaultScript`] payload: fire the session's due fault processes against
+/// the live system before the next round. The server and the scenario
+/// runner both sweep under it, and checkpoint replay runs it too, which is
+/// what makes restored sessions reproduce faulted runs exactly.
+///
+/// [`SessionScheduler`]: pm_core::session::SessionScheduler
+pub fn apply_faults(script: &mut FaultScript, execution: &mut Execution<'static>) {
+    script.apply_due(execution);
 }
 
 /// The outcome of one fault-injected run: what the faults did and how long

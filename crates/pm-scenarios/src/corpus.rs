@@ -13,9 +13,9 @@
 use crate::family::{expand_entries, CorpusEntry, FamilySpec};
 use crate::generators::GeneratorSpec;
 use crate::spec::{AlgorithmSpec, ScenarioSpec};
+use pm_amoebot::scheduler::SchedulerSpec;
 use pm_amoebot::system::OccupancyBackend;
 use pm_core::api::RunOptions;
-use pm_core::batch::SchedulerSpec;
 use pm_faults::{FaultKind, FaultPlan, FaultProcess, ResetPolicy};
 
 /// The committed corpus JSON, embedded so the CLI runs from any directory.

@@ -10,8 +10,8 @@
 
 use crate::generators::GeneratorSpec;
 use crate::spec::{AlgorithmSpec, ScenarioSpec};
+use pm_amoebot::scheduler::SchedulerSpec;
 use pm_core::api::RunOptions;
-use pm_core::batch::SchedulerSpec;
 use pm_faults::FaultPlan;
 use serde::{Deserialize, Serialize};
 

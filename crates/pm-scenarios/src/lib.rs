@@ -15,8 +15,10 @@
 //!   (sizes × seeds) that expand into concrete scenarios at load time.
 //! * [`corpus`] — the committed scenario corpus (`corpus/scenarios.json`,
 //!   concrete scenarios plus family grids) and suite selection.
-//! * [`runner`] — drives suites through `pm_core::batch::BatchRunner` and
-//!   serializes the per-scenario [`RunReport`](pm_core::api::RunReport)s.
+//! * [`runner`] — drives suites through one
+//!   [`SessionScheduler`](pm_core::session::SessionScheduler), each scenario
+//!   a session under its fault script, and serializes the per-scenario
+//!   [`RunReport`](pm_core::api::RunReport)s.
 //!
 //! The `pm-scenarios` binary (owned by the `pm-server` crate, next to the
 //! session server's `serve`/`client` subcommands) exposes all of it on the

@@ -1,10 +1,15 @@
-//! Driving scenario suites through the thread-sharded batch runner.
+//! Driving scenario suites through the session scheduler.
 
 use crate::spec::ScenarioSpec;
-use pm_core::api::{ElectionError, Execution, RunReport};
-use pm_core::batch::{BatchJob, BatchRunner, BatchScenario};
-use pm_faults::FaultScript;
+use pm_core::api::RunReport;
+use pm_core::session::{Goal, SessionId, SessionScheduler};
+use pm_faults::{apply_faults, FaultScript};
 use serde::{Deserialize, Serialize};
+
+/// Steps each session gets per sweep. Suites only need every session to
+/// finish, so the slice just sets how often sharded sweeps rebalance the
+/// sessions still running across threads.
+const SLICE_STEPS: u64 = 256;
 
 /// The outcome of one scenario: either a full [`RunReport`] or the error the
 /// run surfaced (an *expected* datum for assumption-violation scenarios,
@@ -29,67 +34,49 @@ pub struct ScenarioReport {
     pub error: Option<String>,
 }
 
-/// Runs a suite through [`BatchRunner`] with the given worker count.
+/// Runs a suite through one [`SessionScheduler`] sweeping on `threads`
+/// threads: every accepted scenario becomes a session with its
+/// [`FaultScript`] as payload and [`Goal::Complete`], and the scheduler
+/// sweeps under [`apply_faults`] until none is runnable. A scenario whose
+/// fault plan is rejected, or whose election fails to start, reports that
+/// error without becoming a session.
 ///
 /// Results come back in scenario order and are **bit-identical across thread
 /// counts and repeated runs**: every shape, scheduler and fault firing is
-/// seeded, the batch merge is deterministic, and each faulted run's
-/// [`FaultScript`] is built fresh inside the worker.
+/// seeded, sessions never interact, and each one steps exactly as
+/// [`FaultScript::drive`] would step it alone.
 pub fn run_suite(specs: &[&ScenarioSpec], threads: usize) -> Vec<ScenarioReport> {
-    type BoxedDriver =
-        Box<dyn for<'s> Fn(Execution<'s>) -> Result<RunReport, ElectionError> + Sync>;
-    // A fresh script per *run* (inside the worker), so batched faulted runs
-    // equal sequential ones.
-    let drivers: Vec<Option<BoxedDriver>> = specs
+    let mut scheduler = SessionScheduler::with_threads(SLICE_STEPS, threads);
+    let admitted: Vec<(usize, Result<SessionId, String>)> = specs
         .iter()
         .map(|spec| {
-            spec.is_adversarial().then(|| {
-                let plan = spec.faults.clone();
-                let driver: BoxedDriver =
-                    Box::new(move |execution| FaultScript::new(plan.clone()).drive(execution));
-                driver
-            })
+            let shape = spec.build_shape();
+            let session = spec.check_faults().and_then(|()| {
+                let execution = spec
+                    .algorithm
+                    .instance()
+                    .start_owned(&shape, spec.scheduler.build(), &spec.options)
+                    .map_err(|e| e.to_string())?;
+                let id = scheduler.admit(execution, FaultScript::new(spec.faults.clone()));
+                scheduler.set_goal(id, Goal::Complete);
+                Ok(id)
+            });
+            (shape.len(), session)
         })
         .collect();
-    let rejections: Vec<Option<String>> =
-        specs.iter().map(|spec| spec.check_faults().err()).collect();
-
-    let shapes: Vec<_> = specs.iter().map(|spec| spec.build_shape()).collect();
-    let sizes: Vec<usize> = shapes.iter().map(|shape| shape.len()).collect();
-    let mut jobs = Vec::with_capacity(specs.len());
-    for (((spec, driver), rejection), shape) in
-        specs.iter().zip(&drivers).zip(&rejections).zip(shapes)
-    {
-        if rejection.is_some() {
-            continue;
-        }
-        let mut job = BatchJob::new(
-            spec.algorithm.instance(),
-            BatchScenario::new(spec.name.clone(), shape)
-                .options(spec.options)
-                .scheduler(spec.scheduler),
-        );
-        if let Some(driver) = driver {
-            job = job.driven(driver.as_ref());
-        }
-        jobs.push(job);
-    }
-
-    let mut results = BatchRunner::with_threads(threads)
-        .run_jobs(jobs)
-        .into_iter();
+    while scheduler.sweep(&apply_faults) > 0 {}
 
     specs
         .iter()
-        .zip(sizes)
-        .zip(rejections)
-        .map(|((spec, n), rejection)| {
-            let (ok, report, error) = match rejection {
-                Some(why) => (false, None, Some(why)),
-                None => match results.next().expect("one result per accepted job") {
-                    Ok(report) => (true, Some(report), None),
-                    Err(e) => (false, None, Some(e.to_string())),
-                },
+        .zip(admitted)
+        .map(|(spec, (n, session))| {
+            let outcome = session.and_then(|id| {
+                let outcome = scheduler.outcome(id).expect("swept to completion");
+                outcome.clone().map_err(|e| e.to_string())
+            });
+            let (ok, report, error) = match outcome {
+                Ok(report) => (true, Some(report), None),
+                Err(error) => (false, None, Some(error)),
             };
             ScenarioReport {
                 scenario: spec.name.clone(),
@@ -118,6 +105,31 @@ mod tests {
     use super::*;
     use crate::corpus::{builtin_corpus, select, FAULTS, SMOKE};
 
+    /// Pins every suite entry to the single-execution loop that
+    /// `RecoveryDriver` runs: a borrowed `start` of the same spec, driven by
+    /// [`FaultScript::drive`]. `ok`, the report and the error text must all
+    /// agree.
+    fn assert_entries_match_direct_drives(specs: &[&ScenarioSpec], reports: &[ScenarioReport]) {
+        assert_eq!(specs.len(), reports.len());
+        for (spec, entry) in specs.iter().zip(reports) {
+            let shape = spec.build_shape();
+            let mut scheduler = spec.scheduler.build();
+            let direct = spec.check_faults().and_then(|()| {
+                let execution = spec
+                    .algorithm
+                    .instance()
+                    .start(&shape, &mut *scheduler, &spec.options)
+                    .map_err(|e| e.to_string())?;
+                FaultScript::new(spec.faults.clone())
+                    .drive(execution)
+                    .map_err(|e| e.to_string())
+            });
+            assert_eq!(entry.ok, direct.is_ok(), "{}", spec.name);
+            assert_eq!(entry.report.as_ref(), direct.as_ref().ok(), "{}", spec.name);
+            assert_eq!(entry.error.as_ref(), direct.as_ref().err(), "{}", spec.name);
+        }
+    }
+
     #[test]
     fn suite_results_are_identical_across_thread_counts() {
         let corpus = builtin_corpus();
@@ -127,6 +139,7 @@ mod tests {
         assert_eq!(sequential, sharded);
         assert!(sequential.iter().all(|r| r.ok), "smoke runs must succeed");
         assert!(sequential.iter().any(|r| r.faults > 0));
+        assert_entries_match_direct_drives(&smoke, &sequential);
     }
 
     #[test]
@@ -137,6 +150,7 @@ mod tests {
         let sequential = run_suite(&faults, 1);
         let sharded = run_suite(&faults, 4);
         assert_eq!(sequential, sharded);
+        assert_entries_match_direct_drives(&faults, &sequential);
         assert!(sequential.iter().all(|r| r.ok), "fault runs must succeed");
         assert!(sequential.iter().all(|r| r.faults > 0));
         // Every fault run still ends with a unique leader (self-stabilising

@@ -1,11 +1,11 @@
 //! The declarative scenario: everything one election run needs, as data.
 
 use crate::generators::GeneratorSpec;
+use pm_amoebot::scheduler::SchedulerSpec;
 use pm_baselines::{
     ErosionLeaderElection, QuadraticBoundary, RandomizedBoundary, SelfStabMaxElection,
 };
 use pm_core::api::{LeaderElection, PaperPipeline, RunOptions};
-use pm_core::batch::SchedulerSpec;
 use pm_faults::FaultPlan;
 use pm_grid::Shape;
 use serde::{Deserialize, Serialize};

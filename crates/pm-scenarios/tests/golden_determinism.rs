@@ -1,6 +1,6 @@
 //! Golden-file determinism: running the committed smoke suite produces
-//! byte-identical report JSON — twice in a row, across `BatchRunner` thread
-//! counts, and against the committed golden file.
+//! byte-identical report JSON — twice in a row, across the session
+//! scheduler's sweep thread counts, and against the committed golden file.
 
 use pm_faults::ResetPolicy;
 use pm_scenarios::corpus::SMOKE;

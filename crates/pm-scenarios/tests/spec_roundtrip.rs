@@ -1,9 +1,9 @@
 //! `ScenarioSpec` ↔ JSON losslessness over arbitrary specs, and the
 //! committed corpus file's sync with the in-code corpus.
 
+use pm_amoebot::scheduler::SchedulerSpec;
 use pm_amoebot::system::OccupancyBackend;
 use pm_core::api::RunOptions;
-use pm_core::batch::SchedulerSpec;
 use pm_faults::{FaultKind, FaultPlan, FaultProcess, ResetPolicy};
 use pm_scenarios::generators::FAMILY_COUNT;
 use pm_scenarios::{builtin_corpus, load_embedded, AlgorithmSpec, GeneratorSpec, ScenarioSpec};

@@ -248,7 +248,8 @@ pub struct ServerStats {
     pub done: usize,
     /// Scheduler sweeps performed by `watch`/`run` pumping.
     pub sweeps: u64,
-    /// Checkpoint files written by autosave (skips unchanged sessions).
+    /// Checkpoint files written: autosaves (which skip unchanged sessions)
+    /// plus the rewrites of startup recovery.
     pub checkpoints_written: u64,
     /// Sessions evicted by the idle-TTL sweep.
     pub evictions: u64,

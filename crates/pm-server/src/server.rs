@@ -14,7 +14,7 @@ use crate::protocol::{Request, Response, ServerStats, SessionCheckpoint, Session
 use crate::telemetry::{as_micros, ServerTelemetry};
 use pm_core::api::Execution;
 use pm_core::session::{Goal, SessionId, SessionScheduler};
-use pm_faults::{FaultProcess, FaultScript};
+use pm_faults::{apply_faults, FaultProcess, FaultScript};
 use pm_scenarios::ScenarioSpec;
 use pm_telemetry::{trace, warn};
 use std::collections::{BTreeMap, BTreeSet};
@@ -23,14 +23,6 @@ use std::time::{Duration, Instant};
 
 /// The log target every core-side line is tagged with.
 const LOG: &str = "pm_server::core";
-
-/// The per-step hook every session runs under: fire the session's due
-/// fault processes against the live system before the next round. Live
-/// stepping and checkpoint replay share this hook, which is what makes
-/// restored sessions reproduce faulted runs exactly.
-fn apply_faults(script: &mut FaultScript, execution: &mut Execution<'static>) {
-    script.apply_due(execution);
-}
 
 /// Resource bounds a server core enforces. The defaults bound nothing —
 /// existing embedded uses keep their unlimited behavior unless they opt in.
@@ -64,10 +56,6 @@ pub struct ServerCore {
     /// How often transports should call [`ServerCore::housekeeping`].
     autosave_interval: Duration,
     started: Instant,
-    sweeps: u64,
-    checkpoints_written: u64,
-    evictions: u64,
-    restores: u64,
     /// The shared metric registry and its hot-path handles; transports
     /// clone the `Arc` and record without taking the core lock.
     telemetry: Arc<ServerTelemetry>,
@@ -89,10 +77,6 @@ impl ServerCore {
             limits: ServerLimits::default(),
             autosave_interval: Duration::from_millis(500),
             started: Instant::now(),
-            sweeps: 0,
-            checkpoints_written: 0,
-            evictions: 0,
-            restores: 0,
             telemetry: ServerTelemetry::new(),
             harvested: BTreeSet::new(),
         }
@@ -312,10 +296,10 @@ impl ServerCore {
         }
     }
 
-    /// Pumps the scheduler until `session` reaches its goal, counting the
-    /// sweeps for the `stats` verb and timing each one for the registry.
-    /// Sessions that finish during the pumping — the named one or any
-    /// other runnable session — get their profiles harvested.
+    /// Pumps the scheduler until `session` reaches its goal, timing each
+    /// sweep into the registry (whose count is the `stats` verb's sweep
+    /// counter). Sessions that finish during the pumping — the named one
+    /// or any other runnable session — get their profiles harvested.
     fn drive(&mut self, session: SessionId) {
         while self.scheduler.runnable(session) {
             let swept = Instant::now();
@@ -323,7 +307,6 @@ impl ServerCore {
             self.telemetry
                 .sweep_duration_us
                 .observe(as_micros(swept.elapsed()));
-            self.sweeps += 1;
         }
         self.harvest_finished();
     }
@@ -386,7 +369,7 @@ impl ServerCore {
                     .is_some_and(|at| now.duration_since(*at) < ttl);
                 if !fresh {
                     self.forget(id);
-                    self.evictions += 1;
+                    self.telemetry.evictions.inc();
                     evicted += 1;
                     if trace::enabled() {
                         trace::instant("server", format!("evict:session-{id}"));
@@ -420,7 +403,7 @@ impl ServerCore {
                         .observe(as_micros(saved_at.elapsed()));
                     self.telemetry.checkpoint_bytes.observe(bytes);
                     self.saved.insert(id, cursor);
-                    self.checkpoints_written += 1;
+                    self.telemetry.checkpoints_written.inc();
                     written += 1;
                     if trace::enabled() {
                         trace::instant("server", format!("checkpoint:session-{id}"));
@@ -466,7 +449,7 @@ impl ServerCore {
     fn mark_saved(&mut self, session: SessionId) {
         let cursor = self.cursor(session);
         self.saved.insert(session, cursor);
-        self.checkpoints_written += 1;
+        self.telemetry.checkpoints_written.inc();
     }
 
     /// The full restorable snapshot of one session (spec + execution
@@ -504,10 +487,10 @@ impl ServerCore {
             running,
             paused,
             done,
-            sweeps: self.sweeps,
-            checkpoints_written: self.checkpoints_written,
-            evictions: self.evictions,
-            restores: self.restores,
+            sweeps: self.telemetry.sweep_duration_us.count(),
+            checkpoints_written: self.telemetry.checkpoints_written.get(),
+            evictions: self.telemetry.evictions.get(),
+            restores: self.telemetry.restores.get(),
             bytes_read: self.telemetry.bytes_read.get(),
             bytes_written: self.telemetry.bytes_written.get(),
             active_connections: self.telemetry.active_connections.get(),
@@ -733,7 +716,7 @@ impl ServerCore {
             Ok(session) => {
                 self.specs.insert(session, checkpoint.spec);
                 self.touch(session);
-                self.restores += 1;
+                self.telemetry.restores.inc();
                 if trace::enabled() {
                     trace::instant("server", format!("restore:session-{session}"));
                 }
@@ -1104,6 +1087,62 @@ mod tests {
             Response::Done { report, .. } => assert_eq!(report, reference),
             other => panic!("expected Done, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stats_counters_equal_their_registry_series() {
+        // Startup recovery restores one session and rewrites its file; a
+        // fresh session runs; housekeeping then evicts both.
+        let dir = temp_dir("counters");
+        let mut crashed = ServerCore::default();
+        crashed.attach_persistence(&dir).unwrap();
+        let session = submit(&mut crashed, "a");
+        handle(&mut crashed, Request::Watch { session, rounds: 2 });
+        crashed.housekeeping();
+        drop(crashed);
+
+        let mut core = ServerCore::default();
+        assert_eq!(core.attach_persistence(&dir).unwrap(), (1, 0));
+        let session = submit(&mut core, "b");
+        handle(&mut core, Request::Run { session });
+        core.set_limits(ServerLimits {
+            max_sessions: None,
+            idle_ttl: Some(Duration::ZERO),
+        });
+        assert_eq!(core.housekeeping(), (2, 0));
+
+        let stats = match handle(&mut core, Request::Stats).remove(0) {
+            Response::Stats { stats } => stats,
+            other => panic!("expected Stats, got {other:?}"),
+        };
+        let metrics = core.metrics_snapshot();
+        let counter = |name: &str| {
+            metrics
+                .counters
+                .iter()
+                .find(|c| c.name == name)
+                .unwrap_or_else(|| panic!("missing counter `{name}`"))
+                .value
+        };
+        let sweeps = metrics
+            .histograms
+            .iter()
+            .find(|h| h.name == "pm_server_sweep_duration_us")
+            .expect("sweep duration series")
+            .count;
+        assert_eq!(stats.sweeps, sweeps);
+        assert_eq!(
+            stats.checkpoints_written,
+            counter("pm_server_checkpoints_written_total")
+        );
+        assert_eq!(stats.evictions, counter("pm_server_evictions_total"));
+        assert_eq!(stats.restores, counter("pm_server_restores_total"));
+        assert!(stats.sweeps > 0, "run pumped at least one sweep");
+        assert_eq!(
+            (stats.checkpoints_written, stats.evictions, stats.restores),
+            (1, 2, 1)
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -86,6 +86,14 @@ pub struct ServerTelemetry {
     pub checkpoint_bytes: Histogram,
     /// Autosave failures (logged and skipped).
     pub checkpoint_errors: Counter,
+    /// Checkpoint files written: autosaves plus the rewrites of startup
+    /// recovery.
+    pub checkpoints_written: Counter,
+    /// Sessions evicted by the idle-TTL sweep.
+    pub evictions: Counter,
+    /// Sessions rebuilt from checkpoints (`restore` verbs and startup
+    /// recovery).
+    pub restores: Counter,
     /// Wall time of one housekeeping pass, µs.
     pub housekeeping_duration_us: Histogram,
     /// Fault-plan firings across finished fault-injected sessions.
@@ -129,6 +137,9 @@ impl ServerTelemetry {
                 .histogram("pm_server_checkpoint_write_us", WRITE_US_BOUNDS),
             checkpoint_bytes: registry.histogram("pm_server_checkpoint_bytes", BYTES_BOUNDS),
             checkpoint_errors: registry.counter("pm_server_checkpoint_errors_total"),
+            checkpoints_written: registry.counter("pm_server_checkpoints_written_total"),
+            evictions: registry.counter("pm_server_evictions_total"),
+            restores: registry.counter("pm_server_restores_total"),
             housekeeping_duration_us: registry
                 .histogram("pm_server_housekeeping_duration_us", LATENCY_US_BOUNDS),
             faults_fired_total: registry.counter("pm_election_faults_fired_total"),

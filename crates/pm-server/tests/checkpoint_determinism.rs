@@ -5,8 +5,8 @@
 //! final `RunReport` to be **byte-identical** to the uninterrupted run's.
 //! Error outcomes must survive the same round trip (erosion's stall).
 
+use pm_amoebot::scheduler::SchedulerSpec;
 use pm_core::api::{ElectionError, Execution, RunReport};
-use pm_core::batch::SchedulerSpec;
 use pm_core::session::{no_hook, ExecutionCheckpoint, Goal, SessionScheduler};
 use pm_scenarios::{AlgorithmSpec, GeneratorSpec, ScenarioSpec};
 

@@ -9,12 +9,12 @@
 //! never change observable behaviour — leaders, round counts, phase
 //! statistics, final positions, connectivity observations.
 
+use pm_amoebot::scheduler::SchedulerSpec;
 use pm_amoebot::system::OccupancyBackend;
 use pm_baselines::{
     ErosionLeaderElection, QuadraticBoundary, RandomizedBoundary, SelfStabMaxElection,
 };
 use pm_core::api::{ElectionError, LeaderElection, PaperPipeline, RunOptions, RunReport};
-use pm_core::batch::SchedulerSpec;
 use pm_grid::random::{random_blob, random_holey_hexagon};
 use pm_grid::Shape;
 use proptest::prelude::*;
