@@ -9,8 +9,11 @@
 #     leader (no client starves another's sessions);
 #   * memory stays bounded — the server's session budget sits deliberately
 #     below the client count, clients absorb the retryable `Busy`
-#     rejection with backoff, and the final `stats` verb confirms the
-#     live-session count never outgrew the budget.
+#     rejection with backoff, every client cancels its own sessions, and
+#     the final `stats` verb shows 0 live sessions and at least one sweep.
+#
+# The summary line reports sessions/s and how many `Busy` answers the
+# clients resent.
 #
 # Usage: scripts/load_test.sh [SESSIONS] [CLIENTS]
 set -euo pipefail

@@ -6,7 +6,7 @@
 #
 #   * boot the real server with `--tcp 127.0.0.1:0 --http 127.0.0.1:0`,
 #     drive one fault-injected self-stabilising session over the line
-#     protocol, then scrape `/healthz`, `/metrics` and `/trace` over plain
+#     protocol (a two-round Watch, then Run), then scrape `/healthz`, `/metrics` and `/trace` over plain
 #     HTTP. The metrics scrape must carry the same required series as the
 #     Metrics verb; the trace scrape must be structurally valid Chrome
 #     trace-event JSON containing the `run` verb span, the per-session
@@ -58,8 +58,9 @@ def protocol(request):
         reader = sock.makefile()
         while True:
             response = json.loads(reader.readline())
-            # Streamed progress lines precede the final response.
-            if not (isinstance(response, dict) and "Progress" in response):
+            # Streamed `Round` lines (a Watch window) precede the final
+            # response; every other response is final.
+            if not (isinstance(response, dict) and "Round" in response):
                 return response
 
 def scrape(path):
@@ -86,6 +87,9 @@ spec = {"Submit": {"spec": {
         {"kind": "Removals", "start": 1, "period": 2, "until": 5, "count": 2}]},
 }}}
 session = protocol(spec)["Submitted"]["session"]
+# Two streamed rounds first, so the helper reads past `Round` lines.
+watched = protocol({"Watch": {"session": session, "rounds": 2}})
+assert "Status" in watched or "Done" in watched, watched
 done = protocol({"Run": {"session": session}})
 assert "Done" in done, done
 

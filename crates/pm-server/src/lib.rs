@@ -31,10 +31,14 @@
 //!   hot-path handles: per-verb latency histograms, sweep and checkpoint
 //!   timings, byte and connection counters, and harvested per-phase
 //!   election profiles, all scrapeable via the `metrics` verb.
-//! * [`client`] — the scripted client behind `pm-scenarios client`:
-//!   replays a `.jsonl` request script against server child processes,
-//!   restarting them on demand to prove checkpoints survive process death.
-//!   Retries requests the server rejects with the retryable `Busy`.
+//! * [`client`] — the reference protocol client. [`Client`] sends each
+//!   request line in one write (`TCP_NODELAY` on TCP) and resends the
+//!   retryable `Busy` under one backoff policy; [`ServerProcess`] spawns a
+//!   `serve` child, learns its announced addresses and reaps it. On them
+//!   sit the `load` generator, the server test suites, and [`run_script`],
+//!   the scripted client behind `pm-scenarios client`: it replays a
+//!   `.jsonl` request script against server child processes, restarting
+//!   them on demand to prove checkpoints survive process death.
 //!
 //! The crate also owns the workspace CLI binary (`pm-scenarios`), which
 //! gains `serve`, `client` and `load` subcommands next to the corpus
@@ -48,7 +52,7 @@ pub mod server;
 pub mod telemetry;
 pub mod transport;
 
-pub use client::run_script;
+pub use client::{run_script, Client, ServerProcess};
 pub use persist::{PersistDir, PersistError};
 pub use protocol::{Request, Response, ServerStats, SessionCheckpoint, SessionSummary};
 pub use server::{ServerCore, ServerLimits};

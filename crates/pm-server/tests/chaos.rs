@@ -5,12 +5,12 @@
 //! with a typed error — never silently corrupted.
 
 use pm_scenarios::{GeneratorSpec, ScenarioSpec};
-use pm_server::{Request, Response};
+use pm_server::{Client, Request, Response, ServerProcess};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_pm-scenarios");
@@ -31,88 +31,37 @@ fn chaos_specs() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// A `serve --stdio` child driven over its pipes.
-struct StdioServer {
-    child: Child,
-    input: ChildStdin,
-    output: BufReader<ChildStdout>,
+/// Spawns `serve` with `args` (`--stdio` or `--tcp ADDR` plus knobs).
+fn serve(args: &[&str]) -> ServerProcess {
+    ServerProcess::spawn(&[&[BIN, "serve"], args].concat()).expect("server spawns")
 }
 
-impl StdioServer {
-    fn spawn(extra: &[&str]) -> StdioServer {
-        let mut child = Command::new(BIN)
-            .args(["serve", "--stdio"])
-            .args(extra)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("server spawns");
-        let input = child.stdin.take().expect("stdin piped");
-        let output = BufReader::new(child.stdout.take().expect("stdout piped"));
-        StdioServer {
-            child,
-            input,
-            output,
-        }
+fn submit(client: &mut Client<impl BufRead, impl Write>, spec: &ScenarioSpec) -> u64 {
+    match client.request(&Request::Submit { spec: spec.clone() }) {
+        Ok(Response::Submitted { session, .. }) => session,
+        other => panic!("expected Submitted, got {other:?}"),
     }
+}
 
-    /// Sends one request and reads to its final response.
-    fn request(&mut self, request: &Request) -> Response {
-        let line = serde_json::to_string(request).expect("request serializes");
-        writeln!(self.input, "{line}").expect("write to server");
-        self.input.flush().expect("flush to server");
-        loop {
-            let mut raw = String::new();
-            assert_ne!(
-                self.output.read_line(&mut raw).expect("read from server"),
-                0,
-                "server closed stdout mid-request"
-            );
-            let response: Response = serde_json::from_str(raw.trim()).expect("response parses");
-            if response.is_final() {
-                return response;
-            }
-        }
-    }
-
-    fn submit(&mut self, spec: &ScenarioSpec) -> u64 {
-        match self.request(&Request::Submit { spec: spec.clone() }) {
-            Response::Submitted { session, .. } => session,
-            other => panic!("expected Submitted, got {other:?}"),
-        }
-    }
-
-    fn run_report(&mut self, session: u64) -> String {
-        match self.request(&Request::Run { session }) {
-            Response::Done { report, .. } => serde_json::to_string(&report).unwrap(),
-            other => panic!("expected Done for session {session}, got {other:?}"),
-        }
-    }
-
-    /// The SIGKILL: no shutdown verb, no flush, no final autosave.
-    fn kill(mut self) {
-        self.child.kill().expect("SIGKILL the server");
-        self.child.wait().expect("reap the server");
-    }
-
-    fn shutdown(mut self) {
-        assert!(matches!(self.request(&Request::Shutdown), Response::Bye));
-        let status = self.child.wait().expect("server exits");
-        assert!(status.success(), "server exited with {status}");
+fn run_report(client: &mut Client<impl BufRead, impl Write>, session: u64) -> String {
+    match client.request(&Request::Run { session }) {
+        Ok(Response::Done { report, .. }) => serde_json::to_string(&report).unwrap(),
+        other => panic!("expected Done for session {session}, got {other:?}"),
     }
 }
 
 /// Reports from an uninterrupted submit-and-run of every spec, keyed by
 /// scenario name — the byte-identical reference every crash run must hit.
 fn golden_reports(threads: usize, specs: &[ScenarioSpec]) -> BTreeMap<String, String> {
-    let mut server = StdioServer::spawn(&["--threads", &threads.to_string()]);
-    let sessions: Vec<u64> = specs.iter().map(|spec| server.submit(spec)).collect();
+    let mut server = serve(&["--stdio", "--threads", &threads.to_string()]);
+    let client = server.stdio().expect("stdio server");
+    let sessions: Vec<u64> = specs.iter().map(|spec| submit(client, spec)).collect();
     let reports = specs
         .iter()
         .zip(&sessions)
-        .map(|(spec, &session)| (spec.name.clone(), server.run_report(session)))
+        .map(|(spec, &session)| (spec.name.clone(), run_report(client, session)))
         .collect();
-    server.shutdown();
+    server.shutdown().expect("clean shutdown");
     reports
 }
 
@@ -156,6 +105,7 @@ fn sigkill_between_autosaves_restores_every_session_byte_identically() {
         let threads_arg = threads.to_string();
         let dir_arg = dir.display().to_string();
         let flags = [
+            "--stdio",
             "--threads",
             threads_arg.as_str(),
             "--persist-dir",
@@ -164,20 +114,22 @@ fn sigkill_between_autosaves_restores_every_session_byte_identically() {
             "25",
         ];
 
-        let mut server = StdioServer::spawn(&flags);
-        let sessions: Vec<u64> = specs.iter().map(|spec| server.submit(spec)).collect();
+        let mut server = serve(&flags);
+        let client = server.stdio().expect("stdio server");
+        let sessions: Vec<u64> = specs.iter().map(|spec| submit(client, spec)).collect();
         for &session in &sessions {
-            match server.request(&Request::Watch { session, rounds: 2 }) {
-                Response::Status { .. } | Response::Done { .. } => {}
+            match client.request(&Request::Watch { session, rounds: 2 }) {
+                Ok(Response::Status { .. } | Response::Done { .. }) => {}
                 other => panic!("expected Status after watch, got {other:?}"),
             }
         }
         wait_for_files(&dir, specs.len());
         server.kill();
 
-        let mut revived = StdioServer::spawn(&flags);
-        let rows = match revived.request(&Request::Sessions) {
-            Response::Sessions { sessions } => sessions,
+        let mut revived = serve(&flags);
+        let client = revived.stdio().expect("stdio server");
+        let rows = match client.request(&Request::Sessions) {
+            Ok(Response::Sessions { sessions }) => sessions,
             other => panic!("expected Sessions, got {other:?}"),
         };
         assert_eq!(
@@ -186,7 +138,7 @@ fn sigkill_between_autosaves_restores_every_session_byte_identically() {
             "--threads {threads}: recovery lost sessions"
         );
         for row in rows {
-            let report = revived.run_report(row.session);
+            let report = run_report(client, row.session);
             assert_eq!(
                 Some(&report),
                 golden.get(&row.name),
@@ -194,7 +146,7 @@ fn sigkill_between_autosaves_restores_every_session_byte_identically() {
                 row.name
             );
         }
-        revived.shutdown();
+        revived.shutdown().expect("clean shutdown");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -209,35 +161,21 @@ fn torn_checkpoint_files_are_rejected_and_the_server_keeps_serving() {
     std::fs::write(dir.join("session-1.json"), b"{\"spec\":{\"name\":\"half").unwrap();
     std::fs::write(dir.join("session-2.json"), b"not json at all\n").unwrap();
 
+    // Over TCP, so the server's log comes back from `shutdown`.
     let dir_arg = dir.display().to_string();
-    let mut child = Command::new(BIN)
-        .args(["serve", "--stdio", "--persist-dir", &dir_arg])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("server spawns");
-    let input = child.stdin.take().expect("stdin piped");
-    let output = BufReader::new(child.stdout.take().expect("stdout piped"));
-    let mut server = StdioServer {
-        child,
-        input,
-        output,
-    };
+    let server = serve(&["--tcp", "127.0.0.1:0", "--persist-dir", &dir_arg]);
+    let mut client = server.connect().expect("connect");
 
     // Both corrupt files were skipped; the server is empty and healthy.
-    match server.request(&Request::Sessions) {
-        Response::Sessions { sessions } => assert!(sessions.is_empty()),
+    match client.request(&Request::Sessions) {
+        Ok(Response::Sessions { sessions }) => assert!(sessions.is_empty()),
         other => panic!("expected Sessions, got {other:?}"),
     }
     let spec = ScenarioSpec::new("after-torn", GeneratorSpec::Hexagon { radius: 2 });
-    let session = server.submit(&spec);
-    server.run_report(session);
+    let session = submit(&mut client, &spec);
+    run_report(&mut client, session);
 
-    let mut stderr = server.child.stderr.take().expect("stderr piped");
-    server.shutdown();
-    let mut log = String::new();
-    std::io::Read::read_to_string(&mut stderr, &mut log).expect("stderr is UTF-8");
+    let log = server.shutdown().expect("clean shutdown");
     assert!(
         log.contains("malformed checkpoint file"),
         "expected typed rejections in the log, got:\n{log}"
@@ -249,64 +187,14 @@ fn torn_checkpoint_files_are_rejected_and_the_server_keeps_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Spawns a TCP server, returns its child, address, and the stderr
-/// drain thread (the pipe must keep draining or connection-error logs
-/// would eventually block the server).
-fn spawn_tcp(extra: &[&str]) -> (Child, String, std::thread::JoinHandle<()>) {
-    let mut child = Command::new(BIN)
-        .args(["serve", "--tcp", "127.0.0.1:0"])
-        .args(extra)
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("server spawns");
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
-    let mut addr = None;
-    let mut line = String::new();
-    while stderr.read_line(&mut line).expect("read stderr") > 0 {
-        // The announcement is a log line now: match the substring.
-        if let Some(at) = line.find("listening on ") {
-            addr = Some(line[at + "listening on ".len()..].trim().to_string());
-            break;
-        }
-        line.clear();
-    }
-    let drain = std::thread::spawn(move || {
-        let mut rest = String::new();
-        let _ = std::io::Read::read_to_string(&mut stderr, &mut rest);
-    });
-    (child, addr.expect("server announced its address"), drain)
-}
-
-fn tcp_request(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    request: &Request,
-) -> Response {
-    let line = serde_json::to_string(request).unwrap();
-    writeln!(stream, "{line}").expect("send");
-    stream.flush().expect("flush");
-    loop {
-        let mut raw = String::new();
-        assert_ne!(
-            reader.read_line(&mut raw).expect("receive"),
-            0,
-            "server hung up"
-        );
-        let response: Response = serde_json::from_str(raw.trim()).expect("response parses");
-        if response.is_final() {
-            return response;
-        }
-    }
-}
-
 /// Clients that die mid-line (half a request, no newline, then a dropped
 /// socket) must not take the server or anyone else's session with them.
 #[test]
 fn connections_killed_mid_line_leave_the_server_serving() {
-    let (mut child, addr, drain) = spawn_tcp(&["--threads", "2"]);
+    let server = serve(&["--tcp", "127.0.0.1:0", "--threads", "2"]);
 
     for _ in 0..3 {
-        let mut victim = TcpStream::connect(&addr).expect("connect");
+        let mut victim = TcpStream::connect(server.addr().unwrap()).expect("connect");
         victim
             .write_all(b"{\"Submit\":{\"spec\":{\"name\":\"never")
             .expect("half a line");
@@ -314,80 +202,31 @@ fn connections_killed_mid_line_leave_the_server_serving() {
         drop(victim); // hang up mid-line, newline never sent
     }
 
-    let mut clean = TcpStream::connect(&addr).expect("connect after carnage");
-    let mut reader = BufReader::new(clean.try_clone().unwrap());
+    let mut clean = server.connect().expect("connect after carnage");
     let spec = ScenarioSpec::new("survivor", GeneratorSpec::Hexagon { radius: 2 });
-    let session = match tcp_request(&mut clean, &mut reader, &Request::Submit { spec }) {
-        Response::Submitted { session, .. } => session,
-        other => panic!("expected Submitted, got {other:?}"),
-    };
-    match tcp_request(&mut clean, &mut reader, &Request::Run { session }) {
-        Response::Done { report, .. } => assert!(report.unique_leader()),
+    let session = submit(&mut clean, &spec);
+    match clean.request(&Request::Run { session }) {
+        Ok(Response::Done { report, .. }) => assert!(report.unique_leader()),
         other => panic!("expected Done, got {other:?}"),
     }
-    assert!(matches!(
-        tcp_request(&mut clean, &mut reader, &Request::Shutdown),
-        Response::Bye
-    ));
-    assert!(child.wait().expect("server exits").success());
-    drain.join().unwrap();
+    server.shutdown().expect("clean shutdown");
 }
 
 /// 32 simultaneous TCP clients hammer one server whose session budget is
 /// deliberately far smaller than the client count, so the retryable
-/// `Busy` rejection is exercised for real — every client still completes
-/// every one of its sessions with a unique leader.
+/// `Busy` rejection is exercised for real. This is the load generator at
+/// storm size: it fails unless every client completes every one of its
+/// sessions with a unique leader and no session is left live at the end.
 #[test]
 fn thirty_two_concurrent_clients_share_one_server() {
-    const CLIENTS: usize = 32;
-    const SESSIONS_EACH: usize = 2;
-    let (mut child, addr, drain) = spawn_tcp(&["--threads", "4", "--max-sessions", "8"]);
-
-    std::thread::scope(|scope| {
-        for client in 0..CLIENTS {
-            let addr = &addr;
-            scope.spawn(move || {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                for index in 0..SESSIONS_EACH {
-                    let spec = ScenarioSpec::new(
-                        format!("storm-{client}-{index}"),
-                        GeneratorSpec::Hexagon { radius: 2 },
-                    );
-                    let request = Request::Submit { spec };
-                    let session = loop {
-                        match tcp_request(&mut stream, &mut reader, &request) {
-                            Response::Submitted { session, .. } => break session,
-                            Response::Busy { .. } => std::thread::sleep(Duration::from_millis(2)),
-                            other => panic!("client {client}: expected Submitted, got {other:?}"),
-                        }
-                    };
-                    match tcp_request(&mut stream, &mut reader, &Request::Run { session }) {
-                        Response::Done { report, .. } => assert!(report.unique_leader()),
-                        other => panic!("client {client}: expected Done, got {other:?}"),
-                    }
-                    assert!(matches!(
-                        tcp_request(&mut stream, &mut reader, &Request::Cancel { session }),
-                        Response::Cancelled { .. }
-                    ));
-                }
-            });
-        }
-    });
-
-    let mut control = TcpStream::connect(&addr).expect("connect control");
-    let mut reader = BufReader::new(control.try_clone().unwrap());
-    match tcp_request(&mut control, &mut reader, &Request::Stats) {
-        Response::Stats { stats } => {
-            assert_eq!(stats.sessions, 0, "every storm session was cancelled");
-            assert!(stats.sweeps > 0);
-        }
-        other => panic!("expected Stats, got {other:?}"),
-    }
-    assert!(matches!(
-        tcp_request(&mut control, &mut reader, &Request::Shutdown),
-        Response::Bye
-    ));
-    assert!(child.wait().expect("server exits").success());
-    drain.join().unwrap();
+    let output = Command::new(BIN)
+        .args("load --clients 32 --sessions 64 --max-sessions 8 --threads 4".split(' '))
+        .output()
+        .expect("load runs");
+    let report = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "load failed:\n{report}");
+    assert!(
+        report.contains("64/64 session(s) completed by 32 client(s)"),
+        "{report}"
+    );
 }

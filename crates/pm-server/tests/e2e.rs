@@ -4,11 +4,9 @@
 //! must match the committed golden byte for byte, at every scheduler thread
 //! count. A second test exercises the TCP transport against a live socket.
 
-use pm_server::{Request, Response};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use pm_server::{Request, Response, ServerProcess};
 use std::path::Path;
-use std::process::{Command, Stdio};
+use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_pm-scenarios");
 
@@ -127,75 +125,29 @@ fn smoke_transcript_proves_the_full_lifecycle() {
 
 #[test]
 fn tcp_transport_serves_the_same_protocol() {
-    let mut server = Command::new(BIN)
-        .args(["serve", "--tcp", "127.0.0.1:0"])
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("server spawns");
-    // The server announces its ephemeral port on stderr (as a log line, so
-    // scan lines for the substring rather than assuming it comes first).
-    let mut stderr = BufReader::new(server.stderr.take().expect("stderr piped"));
-    let mut addr = None;
-    let mut announcement = String::new();
-    while stderr.read_line(&mut announcement).expect("announcement") > 0 {
-        if let Some(at) = announcement.find("listening on ") {
-            addr = Some(
-                announcement[at + "listening on ".len()..]
-                    .trim()
-                    .to_string(),
-            );
-            break;
-        }
-        announcement.clear();
-    }
-    let addr = addr.expect("server announced its address");
+    let server =
+        ServerProcess::spawn(&[BIN, "serve", "--tcp", "127.0.0.1:0"]).expect("server spawns");
 
     let spec = r#"{"Submit":{"spec":{"name":"tcp","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7,"occupancy":"Dense"},"faults":{"seed":0,"reset":"None","processes":[]}}}}"#;
 
     // First connection: submit, then drop the connection mid-session.
-    let mut first = TcpStream::connect(&addr).expect("connect");
-    writeln!(first, "{spec}").unwrap();
-    let mut reader = BufReader::new(first.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
+    let mut first = server.connect().expect("connect");
+    let submitted = first.send(spec).expect("submit");
     assert!(
         matches!(
-            serde_json::from_str(line.trim()).unwrap(),
-            Response::Submitted { session: 1, .. }
+            submitted.as_slice(),
+            [(_, Response::Submitted { session: 1, .. })]
         ),
-        "unexpected response {line}"
+        "unexpected response {submitted:?}"
     );
-    drop(reader);
     drop(first);
 
     // Second connection: the session survived the disconnect; finish it
     // and shut the server down.
-    let mut second = TcpStream::connect(&addr).expect("reconnect");
-    let mut reader = BufReader::new(second.try_clone().unwrap());
-    writeln!(
-        second,
-        "{}",
-        serde_json::to_string(&Request::Run { session: 1 }).unwrap()
-    )
-    .unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    match serde_json::from_str(line.trim()).unwrap() {
-        Response::Done { session: 1, report } => assert!(report.unique_leader()),
+    let mut second = server.connect().expect("reconnect");
+    match second.request(&Request::Run { session: 1 }) {
+        Ok(Response::Done { session: 1, report }) => assert!(report.unique_leader()),
         other => panic!("expected Done, got {other:?}"),
     }
-    writeln!(
-        second,
-        "{}",
-        serde_json::to_string(&Request::Shutdown).unwrap()
-    )
-    .unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert!(matches!(
-        serde_json::from_str(line.trim()).unwrap(),
-        Response::Bye
-    ));
-    let status = server.wait().expect("server exits");
-    assert!(status.success());
+    server.shutdown().expect("clean shutdown");
 }
