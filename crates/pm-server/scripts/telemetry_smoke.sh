@@ -9,8 +9,9 @@
 #     `name{labels} value` with a finite float value, and every histogram
 #     carries `_sum`, `_count` and a cumulative `le="+Inf"` bucket;
 #   * the required series exist: per-verb latency for the verbs served,
-#     transport byte counters, sweep timing, and the per-phase election
-#     telemetry harvested from the finished session.
+#     transport byte counters, sweep timing, core-lock wait and hold (one
+#     of each per request served before the scrape), and the per-phase
+#     election telemetry harvested from the finished session.
 #
 # Telemetry is wall-clock dependent, so this cannot be a golden diff like
 # the server smoke — structural validation is the contract instead.
@@ -46,6 +47,8 @@ required = {
     "pm_server_bytes_written_total",
     "pm_server_active_connections",
     "pm_server_sweep_duration_us",
+    "pm_server_core_lock_wait_us",
+    "pm_server_core_lock_hold_us",
     "pm_election_phase_wall_us",
     "pm_election_phase_rounds_total",
     "pm_election_phase_activations_total",
@@ -60,6 +63,10 @@ served = {
     for l in h["labels"]
 }
 assert ("verb", "submit") in served and ("verb", "run") in served, served
+
+for h in snap["histograms"]:
+    if h["name"] in ("pm_server_core_lock_wait_us", "pm_server_core_lock_hold_us"):
+        assert h["count"] >= 2, f"{h['name']} counted {h['count']} of 2 requests"
 
 parsed = 0
 for line in prom.splitlines():

@@ -374,21 +374,7 @@ pub fn run_script(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A writer that records every `write` call as its own buffer.
-    #[derive(Default)]
-    struct Writes(Vec<String>);
-
-    impl Write for Writes {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.push(String::from_utf8_lossy(buf).into_owned());
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
+    use crate::testing::Writes;
 
     const BUSY: &str = "{\"Busy\":{\"message\":\"full\"}}\n";
     const ROUND: &str = concat!(

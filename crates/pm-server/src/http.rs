@@ -29,11 +29,10 @@
 //! [`ServerCore::metrics_snapshot`]: crate::server::ServerCore::metrics_snapshot
 //! [`ServerStats`]: crate::protocol::ServerStats
 
-use crate::transport::Shared;
+use crate::transport::{accept_loop, Shared};
 use pm_telemetry::{info, trace, warn};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -41,8 +40,6 @@ use std::time::Duration;
 /// The log target every HTTP-side line is tagged with.
 const LOG: &str = "pm_server::http";
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// Hard per-connection read budget: a stalled scraper is dropped, it
 /// cannot wedge the listener thread serving it.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
@@ -50,42 +47,27 @@ const READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// are a few hundred bytes; anything bigger is a client error.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
-/// Binds `addr`, announces `http listening on ADDR` (tests scan for that
-/// substring to learn the ephemeral port), and spawns the accept loop. The
-/// loop exits when the shared shutdown flag is raised; join the returned
-/// handle after raising it.
-pub(crate) fn spawn(shared: Arc<Shared>, addr: &str) -> io::Result<thread::JoinHandle<()>> {
+/// Binds `addr` and announces `http listening on ADDR` (tests scan for
+/// that substring to learn the ephemeral port).
+pub(crate) fn bind(addr: &str) -> io::Result<(TcpListener, SocketAddr)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     info!(LOG, "http listening on {local}");
-    Ok(thread::spawn(move || accept_loop(&listener, &shared)))
+    Ok((listener, local))
 }
 
-/// Accepts until shutdown, serving each connection on its own thread —
-/// scrapes are tiny, but one stalled client must not block the next one.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let shared = Arc::clone(shared);
-                workers.push(thread::spawn(move || {
-                    if let Err(e) = serve_request(&shared, stream) {
-                        warn!(LOG, "http connection {peer}: {e}");
-                    }
-                }));
-                workers.retain(|w| !w.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(e) => {
-                warn!(LOG, "http accept error: {e}");
-                thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
-    for worker in workers {
-        let _ = worker.join();
+/// Spawns the accept loop serving `listener` until the shared shutdown
+/// flag is raised; join the returned handle after raising it. Each
+/// connection gets its own thread — scrapes are tiny, but one stalled
+/// client must not block the next one.
+pub(crate) fn spawn(shared: Arc<Shared>, listener: TcpListener) -> thread::JoinHandle<()> {
+    thread::spawn(move || accept_loop(&shared, &listener, serve_connection))
+}
+
+/// Serves one scrape connection, logging its failure.
+fn serve_connection(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
+    if let Err(e) = serve_request(shared, stream) {
+        warn!(LOG, "http connection {peer}: {e}");
     }
 }
 
@@ -93,6 +75,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// either way.
 fn serve_request(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let _span = trace::span("transport", "http");
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_write_timeout(Some(READ_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?).take(MAX_HEAD_BYTES);
@@ -139,11 +122,14 @@ fn route(shared: &Shared, request_line: &str) -> (&'static str, &'static str, St
     let path = target.split('?').next().unwrap_or(target);
     match path {
         "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
-        "/metrics" => (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            shared.lock().metrics_snapshot().to_prometheus(),
-        ),
+        "/metrics" => {
+            let snapshot = shared.lock().metrics_snapshot();
+            (
+                "200 OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                snapshot.to_prometheus(),
+            )
+        }
         "/stats" => {
             let stats = shared.lock().server_stats();
             match serde_json::to_string(&stats) {
@@ -168,20 +154,20 @@ fn route(shared: &Shared, request_line: &str) -> (&'static str, &'static str, St
     }
 }
 
-/// Writes one complete HTTP/1.1 response and flushes.
+/// Writes one complete HTTP/1.1 response, head and body, in one write and
+/// flushes.
 fn respond(
     writer: &mut impl Write,
     status: &str,
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
-    write!(
-        writer,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
-    writer.write_all(body.as_bytes())?;
+    );
+    writer.write_all(response.as_bytes())?;
     writer.flush()
 }
 
@@ -189,12 +175,10 @@ fn respond(
 mod tests {
     use super::*;
     use crate::server::ServerCore;
+    use crate::testing::Writes;
 
     fn shared() -> Arc<Shared> {
-        Arc::new(Shared {
-            core: std::sync::Mutex::new(ServerCore::default()),
-            shutdown: std::sync::atomic::AtomicBool::new(false),
-        })
+        Shared::new(ServerCore::default(), Vec::new())
     }
 
     #[test]
@@ -241,9 +225,11 @@ mod tests {
 
     #[test]
     fn responses_carry_length_and_close() {
-        let mut out = Vec::new();
+        let mut out = Writes::default();
         respond(&mut out, "200 OK", "text/plain; charset=utf-8", "ok\n").unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let [text] = out.0.as_slice() else {
+            panic!("head and body in one write: {:?}", out.0);
+        };
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 3\r\n"));
         assert!(text.contains("Connection: close\r\n"));

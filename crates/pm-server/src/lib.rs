@@ -60,3 +60,24 @@ pub use telemetry::ServerTelemetry;
 pub use transport::{
     serve, serve_stdio, serve_stdio_with, serve_tcp, serve_tcp_with, ServeOptions,
 };
+
+/// Test doubles shared by the unit tests.
+#[cfg(test)]
+mod testing {
+    use std::io::{self, Write};
+
+    /// A writer that records every `write` call as its own buffer.
+    #[derive(Default)]
+    pub(crate) struct Writes(pub(crate) Vec<String>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(String::from_utf8_lossy(buf).into_owned());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+}

@@ -20,6 +20,13 @@ const LATENCY_US_BOUNDS: &[u64] = &[
     1_000_000, 2_500_000, 10_000_000,
 ];
 
+/// Microsecond buckets for core-lock waits and holds: a small request holds
+/// the lock for tens of µs, a long `run` for seconds.
+const LOCK_US_BOUNDS: &[u64] = &[
+    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 10_000, 50_000, 250_000, 1_000_000,
+    10_000_000,
+];
+
 /// Microsecond buckets for durable-write latencies: disk syncs dominate,
 /// so the range shifts up relative to [`LATENCY_US_BOUNDS`].
 const WRITE_US_BOUNDS: &[u64] = &[
@@ -78,6 +85,11 @@ pub struct ServerTelemetry {
     pub connection_errors: Counter,
     /// Malformed request lines answered with a protocol error.
     pub malformed_requests: Counter,
+    /// Time from asking for the core lock to holding it, µs.
+    pub core_lock_wait_us: Histogram,
+    /// Time the core lock was held, µs: requests, housekeeping, HTTP
+    /// scrapes and the final sweep alike.
+    pub core_lock_hold_us: Histogram,
     /// Wall time of one scheduler sweep, µs.
     pub sweep_duration_us: Histogram,
     /// Wall time of one durable checkpoint write, µs.
@@ -132,6 +144,8 @@ impl ServerTelemetry {
             accept_errors: registry.counter("pm_server_accept_errors_total"),
             connection_errors: registry.counter("pm_server_connection_errors_total"),
             malformed_requests: registry.counter("pm_server_malformed_requests_total"),
+            core_lock_wait_us: registry.histogram("pm_server_core_lock_wait_us", LOCK_US_BOUNDS),
+            core_lock_hold_us: registry.histogram("pm_server_core_lock_hold_us", LOCK_US_BOUNDS),
             sweep_duration_us: registry.histogram("pm_server_sweep_duration_us", LATENCY_US_BOUNDS),
             checkpoint_write_us: registry
                 .histogram("pm_server_checkpoint_write_us", WRITE_US_BOUNDS),
