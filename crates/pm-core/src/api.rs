@@ -73,6 +73,7 @@ use crate::obd::run_obd;
 use pm_amoebot::scheduler::{RunError, Runner, RunnerSnapshot, Scheduler, SeededRandom};
 use pm_amoebot::system::{OccupancyBackend, ParticleSystem, SystemControl};
 use pm_grid::{Point, Shape};
+use pm_telemetry::trace;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
@@ -622,7 +623,7 @@ impl<'a> Execution<'a> {
         // Tracing rides the same opt-in gate as profiling (the unprofiled
         // path above stays one `Option` check) and reuses the step's two
         // clock reads; with no recorder installed this is one atomic load.
-        if pm_telemetry::trace::enabled() {
+        if trace::enabled() {
             Execution::trace_step(&outcome, started, ended);
         }
         Ok(outcome)
@@ -634,7 +635,6 @@ impl<'a> Execution<'a> {
     /// starts as instant markers. Span names stay `&'static str` on the
     /// per-round path — no allocation per step.
     fn trace_step(outcome: &StepOutcome, started: std::time::Instant, ended: std::time::Instant) {
-        use pm_telemetry::trace;
         match outcome {
             StepOutcome::PhaseStarted { phase } => trace::instant("phase", *phase),
             StepOutcome::RoundCompleted { phase, .. } => {
@@ -775,10 +775,18 @@ pub trait LeaderElection {
 /// Rejects empty and disconnected initial configurations — every
 /// implementation shares the paper's permitted-initial-configuration
 /// precondition.
+///
+/// The shape's analysis is built first: every contender's particle system
+/// reads it next, and the connectivity check then runs on its index.
 pub fn check_initial_configuration(shape: &Shape) -> Result<(), ElectionError> {
     if shape.is_empty() {
         return Err(ElectionError::InvalidInitialConfiguration("empty shape"));
     }
+    {
+        let _span = trace::span("start", "start:analysis");
+        shape.analyze();
+    }
+    let _span = trace::span("start", "start:connectivity");
     if !shape.is_connected() {
         return Err(ElectionError::InvalidInitialConfiguration(
             "initial shape must be connected",
@@ -875,8 +883,12 @@ impl<'a, S: Scheduler> PipelineExecution<'a, S> {
     ) -> Result<PipelineExecution<'a, S>, ElectionError> {
         check_initial_configuration(&shape)?;
         let scheduler_name = scheduler.name();
-        let system = ParticleSystem::from_shape_with_backend(&shape, &DleAlgorithm, opts.occupancy);
-        let mut runner = Runner::new(system, DleAlgorithm, scheduler);
+        let mut runner = {
+            let _span = trace::span("start", "start:system");
+            let system =
+                ParticleSystem::from_shape_with_backend(&shape, &DleAlgorithm, opts.occupancy);
+            Runner::new(system, DleAlgorithm, scheduler)
+        };
         runner.track_connectivity = opts.track_connectivity;
         let budget = opts
             .round_budget

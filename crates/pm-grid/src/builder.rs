@@ -1,11 +1,12 @@
 //! Convenience constructors for shapes: ASCII art parsing/rendering and
 //! simple parametric families.
 //!
-//! Random and larger workload families live in `pm-amoebot::generators`; this
-//! module only contains the deterministic, dependency-free constructors that
-//! the geometry tests and the documentation use.
+//! The seeded random families live in [`crate::random`]; this module only
+//! contains the deterministic, dependency-free constructors that the
+//! geometry tests and the documentation use.
 
 use crate::coords::Point;
+use crate::index::{GridIndex, GridRect};
 use crate::shape::Shape;
 
 /// Parses a shape from ASCII art.
@@ -92,11 +93,12 @@ pub fn parallelogram(width: u32, height: u32) -> Shape {
 /// Panics if `inner >= outer`.
 pub fn annulus(outer: u32, inner: u32) -> Shape {
     assert!(inner < outer, "annulus requires inner < outer");
-    let mut s = hexagon(outer);
-    for p in Point::ORIGIN.ball(inner) {
-        s.remove(p);
-    }
-    s
+    Shape::from_points(
+        Point::ORIGIN
+            .ball(outer)
+            .into_iter()
+            .filter(|p| Point::ORIGIN.grid_distance(*p) > inner),
+    )
 }
 
 /// A "Swiss cheese" hexagon: the ball of radius `radius` with a regular
@@ -104,25 +106,41 @@ pub fn annulus(outer: u32, inner: u32) -> Shape {
 /// kept off the outer boundary so the shape stays connected).
 pub fn swiss_cheese(radius: u32, spacing: u32) -> Shape {
     let spacing = spacing.max(2) as i32;
-    let mut s = hexagon(radius);
     if radius < 2 {
-        return s;
+        return hexagon(radius);
     }
+    let mut ball = ball_index(radius);
     for p in Point::ORIGIN.ball(radius - 1) {
-        if Point::ORIGIN.grid_distance(p) >= radius {
-            continue;
-        }
         if p.q.rem_euclid(spacing) == 0 && p.r.rem_euclid(spacing) == 0 && p != Point::ORIGIN {
-            // Only punch the hole if all its neighbours stay occupied, so
-            // holes never merge with each other or with the outside.
-            if p.neighbors()
-                .all(|n| s.contains(n) && n.neighbors().filter(|m| !s.contains(*m)).count() == 0)
-            {
-                s.remove(p);
-            }
+            punch_hole(&mut ball, p);
         }
     }
-    s
+    Shape::from_points(ball.iter())
+}
+
+/// The hexagonal ball of the given radius around the origin as a dense
+/// index over its bounding box.
+pub(crate) fn ball_index(radius: u32) -> GridIndex {
+    let r = radius as i32;
+    let mut ball = GridIndex::empty(GridRect::new(Point::new(-r, -r), Point::new(r, r)));
+    for p in Point::ORIGIN.ball(radius) {
+        ball.insert(p);
+    }
+    ball
+}
+
+/// Removes `p` if every point within grid distance 2 of it is a member, so
+/// the new single-point hole merges neither with another hole nor with the
+/// outer face, and the shape stays connected. Returns whether `p` was
+/// removed.
+pub(crate) fn punch_hole(index: &mut GridIndex, p: Point) -> bool {
+    let surrounded = (-2..=2).all(|q| {
+        (-2..=2).all(|r| {
+            let d = Point::new(q, r);
+            Point::ORIGIN.grid_distance(d) > 2 || index.contains(p + d)
+        })
+    });
+    surrounded && index.remove(p)
 }
 
 /// A comb: a spine of `teeth` points with a tooth of length `tooth_len`
@@ -146,16 +164,11 @@ pub fn comb(teeth: u32, tooth_len: u32) -> Shape {
 /// diameter suggested by its point count, stressing diameter-sensitive
 /// algorithms.
 pub fn dumbbell(radius: u32, corridor: u32) -> Shape {
-    let left = hexagon(radius);
     let offset = Point::new((2 * radius + corridor + 1) as i32, 0);
-    let mut shape = left;
-    for p in Point::ORIGIN.ball(radius) {
-        shape.insert(p + offset);
-    }
-    for i in 0..=(2 * radius + corridor) as i32 {
-        shape.insert(Point::new(i, 0));
-    }
-    shape
+    let ball = Point::ORIGIN.ball(radius);
+    let right = ball.iter().map(|p| *p + offset);
+    let bar = (0..=(2 * radius + corridor) as i32).map(|i| Point::new(i, 0));
+    Shape::from_points(ball.iter().copied().chain(right).chain(bar))
 }
 
 /// A hexagonal spiral of `n` points: the ball-filling order `origin, ring 1,

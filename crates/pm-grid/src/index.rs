@@ -210,6 +210,27 @@ impl GridIndex {
         newly
     }
 
+    /// Inserts a point like [`GridIndex::insert`], first re-laying the
+    /// index over a larger rectangle when `p` lies outside the current one.
+    /// The rectangle at least doubles along each axis that `p` leaves, so
+    /// a sequence of growing inserts costs amortised `O(1)` each.
+    pub(crate) fn insert_growing(&mut self, p: Point) -> bool {
+        if !self.rect.in_bounds(p) {
+            let (min, max) = (self.rect.min(), self.rect.max());
+            let (min_q, max_q) = widen(min.q, max.q, p.q);
+            let (min_r, max_r) = widen(min.r, max.r, p.r);
+            let mut grown = GridIndex::empty(GridRect::new(
+                Point::new(min_q, min_r),
+                Point::new(max_q, max_r),
+            ));
+            for member in self.iter() {
+                grown.insert(member);
+            }
+            *self = grown;
+        }
+        self.insert(p)
+    }
+
     /// Removes a point; returns whether it was present.
     pub fn remove(&mut self, p: Point) -> bool {
         let Some(cell) = self.rect.cell(p) else {
@@ -233,15 +254,73 @@ impl GridIndex {
         mask
     }
 
-    /// Iterates over the member points in row-major (`r`, then `q`) order.
-    ///
-    /// Note this is **not** the lexicographic `(q, r)` order of
-    /// [`Shape::iter`]; callers that need the deterministic shape order
-    /// should iterate the shape.
+    /// Per cell, whether it is empty and on the unbounded face: joined
+    /// through empty cells to the rectangle's border. Every point outside
+    /// the rectangle is empty, so an empty border cell always touches the
+    /// unbounded face, and the members need no margin.
+    pub(crate) fn outer_face(&self) -> Vec<bool> {
+        let rect = self.rect;
+        let (w, h) = (rect.width as usize, rect.height as usize);
+        let mut outer = vec![false; rect.cells()];
+        let border: Vec<usize> = (0..w)
+            .flat_map(|q| [q, (h - 1) * w + q])
+            .chain((0..h).flat_map(|r| [r * w, r * w + w - 1]))
+            .filter(|cell| !self.contains_cell(*cell))
+            .collect();
+        for &cell in &border {
+            outer[cell] = true;
+        }
+        // Every empty border cell is marked, so the flood only ever pushes
+        // inner cells, whose six neighbours are all in bounds.
+        let mut stack = Vec::new();
+        for &cell in &border {
+            for n in rect.point(cell).neighbors() {
+                if let Some(nc) = rect.cell(n) {
+                    if !outer[nc] && !self.contains_cell(nc) {
+                        outer[nc] = true;
+                        stack.push(nc);
+                    }
+                }
+            }
+        }
+        let offsets = rect.direction_offsets();
+        while let Some(cell) = stack.pop() {
+            for offset in offsets {
+                let nc = cell.wrapping_add_signed(offset);
+                if !outer[nc] && !self.contains_cell(nc) {
+                    outer[nc] = true;
+                    stack.push(nc);
+                }
+            }
+        }
+        outer
+    }
+
+    /// Iterates over the member points in the lexicographic `(q, r)` order
+    /// of [`Shape::iter`].
     pub fn iter(&self) -> impl Iterator<Item = Point> + '_ {
-        (0..self.rect.cells())
-            .filter(|cell| self.contains_cell(*cell))
-            .map(|cell| self.rect.point(cell))
+        let (w, h) = (self.rect.width, self.rect.height);
+        let min = self.rect.min();
+        (0..w).flat_map(move |q| {
+            (0..h).filter_map(move |r| {
+                let cell = r as usize * w as usize + q as usize;
+                self.contains_cell(cell)
+                    .then(|| Point::new(min.q + q, min.r + r))
+            })
+        })
+    }
+}
+
+/// The range `lo..=hi` extended to reach `x`, by at least its own length on
+/// the side where `x` lies.
+fn widen(lo: i32, hi: i32, x: i32) -> (i32, i32) {
+    let len = hi - lo + 1;
+    if x < lo {
+        (x.min(lo - len), hi)
+    } else if x > hi {
+        (lo, x.max(hi + len))
+    } else {
+        (lo, hi)
     }
 }
 
@@ -326,12 +405,40 @@ mod tests {
     fn iter_visits_every_member_once() {
         let shape = Shape::from_points(Point::ORIGIN.ball(3));
         let index = GridIndex::of_shape(&shape, 2).unwrap();
-        let mut seen: Vec<Point> = index.iter().collect();
-        assert_eq!(seen.len(), shape.len());
-        seen.sort();
-        let mut expected: Vec<Point> = shape.iter().collect();
-        expected.sort();
+        let seen: Vec<Point> = index.iter().collect();
+        let expected: Vec<Point> = shape.iter().collect();
         assert_eq!(seen, expected);
+    }
+
+    #[test]
+    fn insert_growing_relays_the_index_and_keeps_members() {
+        let mut index = GridIndex::empty(GridRect::new(Point::ORIGIN, Point::new(1, 1)));
+        assert!(index.insert_growing(Point::ORIGIN));
+        let far = [Point::new(5, 0), Point::new(-40, 3), Point::new(2, 90)];
+        for p in far {
+            assert!(index.insert_growing(p));
+            assert!(!index.insert_growing(p));
+        }
+        assert_eq!(index.len(), 4);
+        assert!(index.contains(Point::ORIGIN));
+        assert!(far.iter().all(|p| index.contains(*p)));
+        // Each growth at least doubles the axis it extends.
+        assert!(index.rect().width() >= 46 && index.rect().height() >= 91);
+    }
+
+    #[test]
+    fn outer_face_finds_the_unbounded_face_without_a_margin() {
+        // A ring of radius 2 around the origin encloses the 7-point ball of
+        // radius 1; the index is the ring's tight bounding box.
+        let ring = Shape::from_points(Point::ORIGIN.ring(2));
+        let index = GridIndex::of_shape(&ring, 0).unwrap();
+        let outer = index.outer_face();
+        let rect = index.rect();
+        for (cell, is_outer) in outer.into_iter().enumerate() {
+            let p = rect.point(cell);
+            let enclosed = Point::ORIGIN.grid_distance(p) <= 2;
+            assert_eq!(is_outer, !enclosed, "at {p}");
+        }
     }
 
     #[test]

@@ -5,9 +5,14 @@
 //! counts. The deterministic parametric families live in [`crate::builder`];
 //! `pm-scenarios` re-exports both behind its generator registry, which is the
 //! single import surface for workload shapes.
+//!
+//! The generators that grow or carve a shape point by point do so on a
+//! dense [`GridIndex`] and build the [`Shape`] once, from the finished
+//! points.
 
-use crate::builder::hexagon;
+use crate::builder::{ball_index, hexagon, punch_hole};
 use crate::coords::Point;
+use crate::index::{GridIndex, GridRect};
 use crate::shape::Shape;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -19,29 +24,40 @@ use rand::{Rng, SeedableRng};
 ///
 /// Deterministic given `(n, seed)`.
 pub fn random_blob(n: usize, seed: u64) -> Shape {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut shape = Shape::from_points([Point::ORIGIN]);
-    let mut frontier: Vec<Point> = Point::ORIGIN.neighbors().collect();
-    while shape.len() < n {
-        let idx = rng.gen_range(0..frontier.len());
-        let p = frontier.swap_remove(idx);
-        if shape.contains(p) {
-            continue;
-        }
-        shape.insert(p);
-        frontier.extend(p.neighbors().filter(|q| !shape.contains(*q)));
-    }
-    shape
+    Shape::from_points(grow_blob(n, seed).iter())
 }
 
 /// A random connected, **simply-connected** blob of at least `n` points: a
 /// [`random_blob`] whose holes are filled in afterwards (so the point count
 /// may slightly exceed `n`).
 pub fn random_simply_connected_blob(n: usize, seed: u64) -> Shape {
-    let blob = random_blob(n, seed);
-    let filled = blob.area();
+    let mut blob = grow_blob(n, seed);
+    // Every cell off the outer face is a blob point or a hole point.
+    let outer = blob.outer_face();
+    let rect = *blob.rect();
+    for cell in (0..rect.cells()).filter(|c| !outer[*c]) {
+        blob.insert(rect.point(cell));
+    }
+    let filled = Shape::from_points(blob.iter());
     debug_assert!(filled.is_simply_connected());
     filled
+}
+
+/// The Eden growth behind [`random_blob`], on an index that starts around
+/// the origin and grows with the blob.
+fn grow_blob(n: usize, seed: u64) -> GridIndex {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut blob = GridIndex::empty(GridRect::new(Point::new(-8, -8), Point::new(8, 8)));
+    blob.insert(Point::ORIGIN);
+    let mut frontier: Vec<Point> = Point::ORIGIN.neighbors().collect();
+    while blob.len() < n {
+        let idx = rng.gen_range(0..frontier.len());
+        let p = frontier.swap_remove(idx);
+        if blob.insert_growing(p) {
+            frontier.extend(p.neighbors().filter(|q| !blob.contains(*q)));
+        }
+    }
+    blob
 }
 
 /// A hexagonal ball of the given radius with approximately
@@ -52,13 +68,10 @@ pub fn random_simply_connected_blob(n: usize, seed: u64) -> Shape {
 /// with each other or with the outer face, and the shape stays connected.
 /// Deterministic given `(radius, hole_fraction, seed)`.
 pub fn random_holey_hexagon(radius: u32, hole_fraction: f64, seed: u64) -> Shape {
-    let mut shape = hexagon(radius);
-    if radius < 2 {
-        return shape;
-    }
-    let budget = ((shape.len() as f64) * hole_fraction.clamp(0.0, 0.4)) as usize;
-    punch_holes(&mut shape, radius, budget, seed);
-    shape
+    let r = radius as usize;
+    let ball_len = 3 * r * (r + 1) + 1;
+    let budget = ((ball_len as f64) * hole_fraction.clamp(0.0, 0.4)) as usize;
+    punch_holes(radius, budget, seed)
 }
 
 /// A hexagonal ball of the given radius with **exactly** `holes` single-point
@@ -67,34 +80,32 @@ pub fn random_holey_hexagon(radius: u32, hole_fraction: f64, seed: u64) -> Shape
 ///
 /// Deterministic given `(radius, holes, seed)`.
 pub fn k_hole_hexagon(radius: u32, holes: u32, seed: u64) -> Shape {
-    let mut shape = hexagon(radius);
-    if radius < 2 {
-        return shape;
-    }
-    punch_holes(&mut shape, radius, holes as usize, seed);
-    shape
+    punch_holes(radius, holes as usize, seed)
 }
 
-/// Punches up to `budget` single-point holes into a hexagonal ball, keeping
-/// every hole's full 2-hop neighbourhood occupied (holes never merge with
-/// each other or with the outer face, and the shape stays connected).
-fn punch_holes(shape: &mut Shape, radius: u32, budget: usize, seed: u64) {
+/// The hexagonal ball of the given radius with up to `budget` single-point
+/// holes punched at seeded random candidates, keeping every hole's full
+/// 2-hop neighbourhood occupied (holes never merge with each other or with
+/// the outer face, and the shape stays connected). Balls of radius below 2
+/// have no room for a hole.
+fn punch_holes(radius: u32, budget: usize, seed: u64) -> Shape {
+    if radius < 2 {
+        return hexagon(radius);
+    }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut candidates: Vec<Point> = Point::ORIGIN.ball(radius.saturating_sub(2));
+    let mut candidates: Vec<Point> = Point::ORIGIN.ball(radius - 2);
     candidates.shuffle(&mut rng);
+    let mut ball = ball_index(radius);
     let mut punched = 0;
     for p in candidates {
         if punched >= budget {
             break;
         }
-        let safe = p
-            .neighbors()
-            .all(|q| shape.contains(q) && q.neighbors().all(|r| r == p || shape.contains(r)));
-        if safe {
-            shape.remove(p);
+        if punch_hole(&mut ball, p) {
             punched += 1;
         }
     }
+    Shape::from_points(ball.iter())
 }
 
 /// A "caterpillar": a straight spine of `spine` points heading east with a

@@ -104,16 +104,6 @@ impl Shape {
         }
     }
 
-    /// A copy of this shape without the cached analysis (used internally so
-    /// the analysis stored *inside* the cache does not hold a second handle
-    /// to itself).
-    fn clone_uncached(&self) -> Shape {
-        Shape {
-            points: self.points.clone(),
-            cache: OnceLock::new(),
-        }
-    }
-
     /// Drops the cached analysis; called by every mutation.
     fn invalidate(&mut self) {
         if self.cache.get().is_some() {
@@ -192,14 +182,13 @@ impl Shape {
     /// Axis-aligned bounding box `((min_q, min_r), (max_q, max_r))`, if the
     /// shape is non-empty.
     pub fn bounding_box(&self) -> Option<(Point, Point)> {
-        if self.is_empty() {
-            return None;
-        }
-        let min_q = self.iter().map(|p| p.q).min().unwrap();
-        let max_q = self.iter().map(|p| p.q).max().unwrap();
-        let min_r = self.iter().map(|p| p.r).min().unwrap();
-        let max_r = self.iter().map(|p| p.r).max().unwrap();
-        Some((Point::new(min_q, min_r), Point::new(max_q, max_r)))
+        // Points are ordered by `q` first, so the set's two ends carry the
+        // extreme `q`s; one pass finds the extreme `r`s.
+        let (first, last) = (self.points.first()?, self.points.last()?);
+        let (min_r, max_r) = self.iter().fold((i32::MAX, i32::MIN), |(lo, hi), p| {
+            (lo.min(p.r), hi.max(p.r))
+        });
+        Some((Point::new(first.q, min_r), Point::new(last.q, max_r)))
     }
 
     /// Whether the induced subgraph is connected. The empty shape is
@@ -305,7 +294,9 @@ impl Shape {
     /// The area of the shape: the shape together with all of its hole points
     /// (Section 2.1).
     pub fn area(&self) -> Shape {
-        self.analyze().area()
+        let mut points = self.points.clone();
+        points.extend(self.analyze().hole_points());
+        Shape::from_points(points)
     }
 
     /// The number of points on the outer boundary, `L_out(S)`.
@@ -362,7 +353,6 @@ const NO_HOLE: u32 = u32::MAX;
 /// [`ShapeAnalysis::face_of_empty_point`] `O(1)`.
 #[derive(Clone, Debug)]
 pub struct ShapeAnalysis {
-    shape: Shape,
     /// Dense membership index over the expanded bounding box (`None` only
     /// for the empty shape).
     index: Option<GridIndex>,
@@ -380,10 +370,8 @@ pub struct ShapeAnalysis {
 
 impl ShapeAnalysis {
     fn compute(shape: &Shape) -> ShapeAnalysis {
-        let shape = shape.clone_uncached();
-        let Some(index) = GridIndex::of_shape(&shape, 1) else {
+        let Some(index) = GridIndex::of_shape(shape, 1) else {
             return ShapeAnalysis {
-                shape,
                 index: None,
                 class: Vec::new(),
                 hole_id: Vec::new(),
@@ -395,51 +383,22 @@ impl ShapeAnalysis {
         let rect = *index.rect();
         let cells = rect.cells();
 
-        // Pass 1 — outer flood fill: every empty cell on the expanded box's
-        // border ring is on the unbounded face (the margin guarantees the
-        // ring is empty and connected around the shape); flood inward over
-        // empty cells. `Interior` is used as a temporary "unvisited" marker
-        // for empty cells and fixed up below.
+        // Pass 1 — the outer flood fill over the index. The other empty
+        // cells are holes: `Interior` marks them "unvisited" until pass 2,
+        // and shape cells are `Boundary` until pass 3 refines them.
+        let outer = index.outer_face();
         let mut class: Vec<PointClass> = (0..cells)
             .map(|c| {
                 if index.contains_cell(c) {
-                    PointClass::Boundary // provisional; refined in pass 3
+                    PointClass::Boundary
+                } else if outer[c] {
+                    PointClass::Outer
                 } else {
-                    PointClass::Interior // provisional "unvisited empty"
+                    PointClass::Interior
                 }
             })
             .collect();
-        let mut queue: VecDeque<usize> = VecDeque::new();
         let (w, h) = (rect.width(), rect.height());
-        let push_border =
-            |q: i32, r: i32, class: &mut Vec<PointClass>, queue: &mut VecDeque<usize>| {
-                let cell = rect
-                    .cell(Point::new(rect.min().q + q, rect.min().r + r))
-                    .expect("border cell is in bounds");
-                if class[cell] == PointClass::Interior {
-                    class[cell] = PointClass::Outer;
-                    queue.push_back(cell);
-                }
-            };
-        for q in 0..w {
-            push_border(q, 0, &mut class, &mut queue);
-            push_border(q, h - 1, &mut class, &mut queue);
-        }
-        for r in 0..h {
-            push_border(0, r, &mut class, &mut queue);
-            push_border(w - 1, r, &mut class, &mut queue);
-        }
-        while let Some(cell) = queue.pop_front() {
-            let p = rect.point(cell);
-            for n in p.neighbors() {
-                if let Some(nc) = rect.cell(n) {
-                    if class[nc] == PointClass::Interior {
-                        class[nc] = PointClass::Outer;
-                        queue.push_back(nc);
-                    }
-                }
-            }
-        }
 
         // Pass 2 — hole components: empty cells not reached from the border.
         // Seeds are scanned in lexicographic (q, r) point order so hole
@@ -514,7 +473,6 @@ impl ShapeAnalysis {
         }
 
         ShapeAnalysis {
-            shape,
             index: Some(index),
             class,
             hole_id,
@@ -522,11 +480,6 @@ impl ShapeAnalysis {
             outer_boundary,
             inner_boundaries,
         }
-    }
-
-    /// The analysed shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
     }
 
     /// The dense membership index over the expanded bounding box (`None` for
@@ -580,13 +533,6 @@ impl ShapeAnalysis {
             .chain([self.outer_boundary.len()])
             .max()
             .unwrap_or(0)
-    }
-
-    /// The area of the shape (shape plus hole points).
-    pub fn area(&self) -> Shape {
-        let mut points = self.shape.points.clone();
-        points.extend(self.hole_points());
-        Shape::from_points(points)
     }
 
     /// Classifies an arbitrary grid point, in `O(1)`.
@@ -713,7 +659,7 @@ mod tests {
         assert_eq!(a.holes()[0].len(), 7);
         assert!(!s.is_simply_connected());
         assert_eq!(s.classify(Point::ORIGIN), PointClass::Hole);
-        assert_eq!(a.area().len(), s.len() + 7);
+        assert_eq!(s.area().len(), s.len() + 7);
         // Inner boundary of the hole is the ring of radius 2 (12 points).
         assert_eq!(a.inner_boundary(0).len(), 12);
         assert_eq!(a.outer_boundary_len(), 18);
@@ -744,7 +690,7 @@ mod tests {
         assert!(a.is_hole_point(h1));
         assert!(a.is_hole_point(h2));
         assert_ne!(a.face_of_empty_point(h1), a.face_of_empty_point(h2));
-        assert_eq!(a.area(), ball(4));
+        assert_eq!(s.area(), ball(4));
     }
 
     #[test]

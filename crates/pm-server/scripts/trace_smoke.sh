@@ -12,8 +12,10 @@
 #     trace-event JSON containing the `run` verb span, the per-session
 #     scheduler slice, and the fault-firing instants.
 #   * run `pm-scenarios profile` on the same scenario and validate the
-#     written trace file: session → phase → round span nesting, balanced
-#     B/E pairs, fault instants parented under the open phase.
+#     written trace file: session → phase → round span nesting, the
+#     `shape:build`, `start:analysis` and `start:connectivity` spans under
+#     the session, balanced B/E pairs, fault instants parented under the
+#     open phase.
 #
 # Usage: scripts/trace_smoke.sh
 set -euo pipefail
@@ -145,13 +147,17 @@ for event in events:
         stack.pop()
 assert not stack, f"unclosed spans: {stack}"
 
-# The span hierarchy the issue promises: session → phase → rounds, with
-# the fault firings as instants parented under the open phase span.
+# The span hierarchy: session → phase → rounds, with the shape build and
+# the start-up layers directly under the session and the fault firings as
+# instants parented under the open phase span.
 sessions = [s for s, (n, c, _) in spans.items() if c == "session"]
 assert len(sessions) == 1, f"expected one session span, got {sessions}"
 phases = [s for s, (n, c, p) in spans.items()
           if c == "phase" and p == sessions[0]]
 assert phases, "no phase span under the session"
+start = {n for s, (n, c, p) in spans.items() if c == "start" and p == sessions[0]}
+for name in ("shape:build", "start:analysis", "start:connectivity"):
+    assert name in start, f"no `{name}` span under the session"
 rounds = [s for s, (n, c, p) in spans.items() if c == "round" and p in phases]
 assert len(rounds) >= 6, f"expected >= 6 round spans, got {len(rounds)}"
 faults = [e for e in events if e["ph"] == "i" and e["cat"] == "fault"]

@@ -495,11 +495,15 @@ fn cmd_profile(specs: &[ScenarioSpec], name: &str, args: &Args) -> Result<(), St
 }
 
 /// The instrumented drive loop behind [`cmd_profile`]: session and phase
-/// guard spans from the caller's side, round spans and phase-boundary
-/// instants from `Execution::step_round` itself, adversarial firings from
-/// the script.
+/// guard spans from the caller's side, the shape build and start-up spans
+/// under the session, round spans and phase-boundary instants from
+/// `Execution::step_round` itself, adversarial firings from the script.
 fn profile_run(spec: &ScenarioSpec) -> Result<pm_core::api::RunReport, String> {
-    let shape = spec.build_shape();
+    let _session = trace::span("session", format!("session:{}", spec.name));
+    let shape = {
+        let _span = trace::span("start", "shape:build");
+        spec.build_shape()
+    };
     let mut scheduler = spec.scheduler.build();
     let mut execution = spec
         .algorithm
@@ -508,7 +512,6 @@ fn profile_run(spec: &ScenarioSpec) -> Result<pm_core::api::RunReport, String> {
         .map_err(|e| format!("start: {e}"))?;
     execution.enable_profiling();
     let mut script = FaultScript::new(spec.faults.clone());
-    let _session = trace::span("session", format!("session:{}", spec.name));
     let mut phase_span: Option<pm_telemetry::SpanGuard> = None;
     loop {
         script.apply_due(&mut execution);

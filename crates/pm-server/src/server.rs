@@ -540,7 +540,10 @@ impl ServerCore {
     /// count, so the shape is built exactly once per start.
     fn start(spec: &ScenarioSpec) -> Result<(Execution<'static>, usize), String> {
         spec.check_faults()?;
-        let shape = spec.build_shape();
+        let shape = {
+            let _span = trace::span("start", "shape:build");
+            spec.build_shape()
+        };
         let mut execution = spec
             .algorithm
             .instance()

@@ -212,6 +212,31 @@ fn connections_killed_mid_line_leave_the_server_serving() {
     server.shutdown().expect("clean shutdown");
 }
 
+/// One line of 200 000 `[` would overflow the stack of a parser that
+/// recursed without a limit and abort the whole process. The nesting
+/// limit answers it with a typed `Error`, and other connections keep
+/// being served.
+#[test]
+fn deeply_nested_json_gets_an_error_and_the_server_keeps_serving() {
+    let server = serve(&["--tcp", "127.0.0.1:0", "--threads", "2"]);
+
+    let mut hostile = server.connect().expect("connect");
+    let responses = hostile.send(&"[".repeat(200_000)).expect("an answer");
+    match responses.last() {
+        Some((_, Response::Error { message })) => {
+            assert!(message.contains("recursion limit exceeded"), "{message}");
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+
+    let mut other = server.connect().expect("connect after the hostile line");
+    match other.request(&Request::Sessions) {
+        Ok(Response::Sessions { sessions }) => assert!(sessions.is_empty()),
+        other => panic!("expected Sessions, got {other:?}"),
+    }
+    server.shutdown().expect("clean shutdown");
+}
+
 /// 32 simultaneous TCP clients hammer one server whose session budget is
 /// deliberately far smaller than the client count, so the retryable
 /// `Busy` rejection is exercised for real. This is the load generator at
