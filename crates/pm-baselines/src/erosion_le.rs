@@ -12,17 +12,13 @@
 //! On shapes with holes the candidate set can never pierce the hole and the
 //! erosion stalls — which is exactly why this family of algorithms assumes
 //! hole-free initial shapes. Through the unified API the stall surfaces as
-//! [`ElectionError::Stuck`].
+//! [`ElectionError::Stuck`](pm_core::api::ElectionError::Stuck).
 
 use pm_amoebot::algorithm::{ActivationContext, Algorithm, InitContext};
-use pm_amoebot::scheduler::{RunError, Runner, Scheduler};
-use pm_amoebot::system::{ParticleSystem, SystemControl};
 use pm_core::api::{
-    check_initial_configuration, phase, ConnectivityReport, ElectionError, Execution,
-    ExecutionDriver, ExecutionStatus, LeaderElection, PhaseReport, RunOptions, RunReport,
-    StepOutcome,
+    phase, BoxedScheduler, LeaderElection, Phase, Plan, RoundDriven, Rounds, RunOptions,
 };
-use pm_core::dle::{count_decisions, Status};
+use pm_core::dle::Status;
 use pm_grid::{local_sce, Shape, DIRECTIONS};
 use serde::{Deserialize, Serialize};
 
@@ -94,221 +90,9 @@ impl Algorithm for ErosionLeaderElection {
     }
 }
 
-/// The erosion execution's position: one round-driven `election` phase.
-enum ErosionState {
-    Start,
-    Rounds,
-    Finish,
-    Done(Box<RunReport>),
-}
-
-/// The resumable state machine behind [`ErosionLeaderElection`]'s
-/// [`LeaderElection::start`]. Generic over the scheduler it owns, so the
-/// same machine backs borrowing executions (`S = &mut dyn Scheduler`) and
-/// owned, `'static` ones (`S = Box<dyn Scheduler + Send>`).
-struct ErosionExecution<S: Scheduler> {
-    opts: RunOptions,
-    scheduler_name: &'static str,
-    n: usize,
-    /// The live round-driven phase; consumed when the election ends.
-    runner: Option<Runner<ErosionLeaderElection, S>>,
-    budget: u64,
-    phase_report: Option<PhaseReport>,
-    state: ErosionState,
-}
-
-impl<S: Scheduler> ErosionExecution<S> {
-    fn start(
-        shape: &Shape,
-        scheduler: S,
-        opts: &RunOptions,
-    ) -> Result<ErosionExecution<S>, ElectionError> {
-        check_initial_configuration(shape)?;
-        let scheduler_name = scheduler.name();
-        let system =
-            ParticleSystem::from_shape_with_backend(shape, &ErosionLeaderElection, opts.occupancy);
-        let mut runner = Runner::new(system, ErosionLeaderElection, scheduler);
-        runner.track_connectivity = opts.track_connectivity;
-        let budget = opts
-            .round_budget
-            .unwrap_or_else(|| 8 * (shape.len() as u64 + 8));
-        Ok(ErosionExecution {
-            opts: *opts,
-            scheduler_name,
-            n: shape.len(),
-            runner: Some(runner),
-            budget,
-            phase_report: None,
-            state: ErosionState::Start,
-        })
-    }
-}
-
-/// `(decided, undecided)` status counts over a live erosion system (the
-/// shared [`count_decisions`] tally).
-fn erosion_counts(system: &ParticleSystem<ErosionMemory>) -> (usize, usize) {
-    count_decisions(system.iter().map(|(_, p)| p.memory().status))
-}
-
-impl<S: Scheduler> ExecutionDriver for ErosionExecution<S> {
-    fn step(&mut self) -> Result<StepOutcome, ElectionError> {
-        match &mut self.state {
-            ErosionState::Start => {
-                self.state = ErosionState::Rounds;
-                Ok(StepOutcome::PhaseStarted {
-                    phase: phase::ELECTION,
-                })
-            }
-            ErosionState::Rounds => {
-                let runner = self.runner.as_mut().expect("Rounds state holds a runner");
-                if runner.system().is_empty() {
-                    // Only a caller-side perturbation can empty the system
-                    // (start() validated the initial shape non-empty), so
-                    // this is a runtime fault, not an invalid input —
-                    // classified exactly as the pipeline driver does.
-                    return Err(ElectionError::Run(RunError::EmptySystem));
-                }
-                if runner.is_complete() {
-                    let mut runner = self.runner.take().expect("checked above");
-                    runner.finalize();
-                    let stats = *runner.stats();
-                    let report = PhaseReport {
-                        name: phase::ELECTION.to_string(),
-                        rounds: stats.rounds,
-                        activations: stats.activations,
-                        moves: stats.moves(),
-                    };
-                    self.phase_report = Some(report.clone());
-                    // The finished system is still needed for the final
-                    // report; keep it by putting the runner back.
-                    self.runner = Some(runner);
-                    self.state = ErosionState::Finish;
-                    return Ok(StepOutcome::PhaseEnded { report });
-                }
-                if runner.stats().rounds >= self.budget {
-                    // The erosion stalling (reliably: shapes with holes) is
-                    // a documented limitation of the family, not an
-                    // execution bug.
-                    return Err(ElectionError::Stuck {
-                        after_rounds: self.budget,
-                    });
-                }
-                let stats = runner.step();
-                Ok(StepOutcome::RoundCompleted {
-                    phase: phase::ELECTION,
-                    rounds: stats.rounds,
-                })
-            }
-            ErosionState::Finish => {
-                let runner = self.runner.as_ref().expect("Finish keeps the system");
-                let system = runner.system();
-                let stats = *runner.stats();
-                // No particle ever moves, but a caller-side perturbation may
-                // have removed particles mid-run, so the final configuration
-                // is read off the post-run system rather than assumed to be
-                // the initial shape.
-                let final_positions: Vec<_> = system.iter().map(|(_, p)| p.head()).collect();
-                let final_connected = system.is_connected();
-                let mut leaders = 0usize;
-                let mut followers = 0usize;
-                let mut undecided = 0usize;
-                let mut leader = None;
-                for (_, p) in system.iter() {
-                    match p.memory().status {
-                        Status::Leader => {
-                            leaders += 1;
-                            leader = Some(p.head());
-                        }
-                        Status::Follower => followers += 1,
-                        Status::Undecided => undecided += 1,
-                    }
-                }
-                let phase_report = self.phase_report.clone().expect("the election phase ended");
-                let report = RunReport {
-                    algorithm: "erosion-le".to_string(),
-                    scheduler: self.scheduler_name.to_string(),
-                    n: self.n,
-                    leader: leader.expect("a terminated erosion run has elected a leader"),
-                    leaders,
-                    followers,
-                    undecided,
-                    total_rounds: phase_report.rounds,
-                    activations: phase_report.activations,
-                    moves: phase_report.moves,
-                    phases: vec![phase_report],
-                    peak_memory_bits: EROSION_MEMORY_BITS,
-                    connectivity: ConnectivityReport {
-                        tracked: self.opts.track_connectivity,
-                        ever_disconnected: stats.ever_disconnected,
-                        disconnected_rounds: stats.disconnected_rounds,
-                    },
-                    final_connected,
-                    final_positions,
-                    profile: Vec::new(),
-                };
-                self.state = ErosionState::Done(Box::new(report.clone()));
-                Ok(StepOutcome::Finished(report))
-            }
-            ErosionState::Done(report) => Ok(StepOutcome::Finished((**report).clone())),
-        }
-    }
-
-    fn status(&self) -> ExecutionStatus {
-        let (phase, rounds, next_round, counts) = match &self.state {
-            ErosionState::Start => (None, 0, None, None),
-            ErosionState::Rounds => {
-                let runner = self.runner.as_ref().expect("Rounds state holds a runner");
-                let rounds = runner.stats().rounds;
-                let next = if !runner.is_complete() && rounds < self.budget {
-                    Some(rounds)
-                } else {
-                    None
-                };
-                (
-                    Some(phase::ELECTION),
-                    rounds,
-                    next,
-                    Some(erosion_counts(runner.system())),
-                )
-            }
-            ErosionState::Finish | ErosionState::Done(_) => {
-                let counts = self
-                    .runner
-                    .as_ref()
-                    .map(|runner| erosion_counts(runner.system()));
-                let rounds = self.phase_report.as_ref().map_or(0, |report| report.rounds);
-                (None, rounds, None, counts)
-            }
-        };
-        let (decided, undecided) = counts.unwrap_or((0, self.n));
-        ExecutionStatus {
-            algorithm: "erosion-le",
-            phase,
-            rounds_in_phase: if phase.is_some() { rounds } else { 0 },
-            total_rounds: rounds,
-            decided,
-            undecided,
-            next_round,
-            finished: matches!(self.state, ErosionState::Done(_)),
-        }
-    }
-
-    fn next_round(&self) -> Option<(&'static str, u64)> {
-        if !matches!(self.state, ErosionState::Rounds) {
-            return None;
-        }
-        let runner = self.runner.as_ref()?;
-        let rounds = runner.stats().rounds;
-        (!runner.is_complete() && rounds < self.budget).then_some((phase::ELECTION, rounds))
-    }
-
-    fn control(&mut self) -> Option<Box<dyn SystemControl + '_>> {
-        if !matches!(self.state, ErosionState::Rounds) {
-            return None;
-        }
-        self.runner
-            .as_mut()
-            .map(|runner| Box::new(runner.control()) as Box<dyn SystemControl + '_>)
+impl RoundDriven for ErosionLeaderElection {
+    fn status(memory: &ErosionMemory) -> Status {
+        memory.status
     }
 }
 
@@ -317,26 +101,19 @@ impl LeaderElection for ErosionLeaderElection {
         "erosion-le"
     }
 
-    fn start<'a>(
-        &'a self,
-        shape: &'a Shape,
-        scheduler: &'a mut (dyn Scheduler + Send),
-        opts: &RunOptions,
-    ) -> Result<Execution<'a>, ElectionError> {
-        Ok(Execution::new(ErosionExecution::start(
-            shape, scheduler, opts,
-        )?))
-    }
-
-    fn start_owned(
+    /// One round-driven `election` phase. Running out of budget (reliably:
+    /// on shapes with holes) is the documented limitation of the family,
+    /// not an execution bug, so it surfaces as
+    /// [`ElectionError::Stuck`](pm_core::api::ElectionError::Stuck).
+    fn plan<'a>(
         &self,
         shape: &Shape,
-        scheduler: Box<dyn Scheduler + Send>,
+        scheduler: BoxedScheduler<'a>,
         opts: &RunOptions,
-    ) -> Result<Execution<'static>, ElectionError> {
-        Ok(Execution::new(ErosionExecution::start(
-            shape, scheduler, opts,
-        )?))
+    ) -> Plan<'a> {
+        let budget = 8 * (shape.len() as u64 + 8);
+        let rounds = Rounds::new(phase::ELECTION, *self, shape, scheduler, opts, budget);
+        Plan::new(vec![Phase::Rounds(rounds.stalls())], ())
     }
 }
 
@@ -344,6 +121,7 @@ impl LeaderElection for ErosionLeaderElection {
 mod tests {
     use super::*;
     use pm_amoebot::scheduler::{RoundRobin, SeededRandom};
+    use pm_core::api::ElectionError;
     use pm_grid::builder::{annulus, comb, hexagon, line, spiral};
 
     #[test]

@@ -44,6 +44,20 @@
 //!     assert!(report.leaders >= 1);
 //! }
 //! ```
+//!
+//! A baseline writes only its [`plan`](pm_core::api::LeaderElection::plan):
+//! its phases and what differs between contenders. Erosion and the
+//! self-stabilising election declare one round-driven
+//! [`Rounds`](pm_core::api::Rounds) phase over their amoebot algorithm,
+//! whose budget running out is a [`Stuck`](pm_core::api::ElectionError::Stuck)
+//! stall, and say through [`RoundDriven`](pm_core::api::RoundDriven) how a
+//! particle's memory reads as leader, follower or undecided. The two
+//! boundary elections declare closed-form phases and keep a small
+//! [`Contender`](pm_core::api::Contender) state that runs each phase body
+//! and names the leaders. The one [`Execution`](pm_core::api::Execution)
+//! does the rest for all of them: the step grammar, the phase reports and
+//! their totals, the status, the empty-system, budget and no-leader errors,
+//! and the final report.
 
 pub mod erosion_le;
 pub mod quadratic_boundary;

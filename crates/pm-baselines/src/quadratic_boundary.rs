@@ -10,16 +10,12 @@
 //! baseline elects the heads of the surviving outer-boundary segments — up to
 //! six leaders, exactly as in \[3\].
 
-use pm_amoebot::scheduler::Scheduler;
-use pm_amoebot::system::SystemControl;
 use pm_core::api::{
-    check_initial_configuration, phase, ConnectivityReport, ElectionError, Execution,
-    ExecutionDriver, ExecutionStatus, LeaderElection, PhaseReport, RunOptions, RunReport,
-    StepOutcome,
+    phase, BoxedScheduler, Contender, LeaderElection, Phase, Plan, RunOptions, RunReport,
 };
+use pm_core::dle::DleOutcome;
 use pm_core::obd::{CompetitionCostModel, ObdSimulator};
 use pm_grid::{outer_boundary_ring, Shape};
-use std::borrow::Cow;
 
 /// Nominal per-particle memory of the quadratic boundary election, in bits:
 /// like OBD's segment competition, a constant number of machine words
@@ -35,138 +31,36 @@ pub const QUADRATIC_BOUNDARY_MEMORY_BITS: u64 = 96;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QuadraticBoundary;
 
-/// The quadratic-boundary execution: one closed-form phase as one coarse
-/// step.
-enum QuadraticState {
-    Start,
-    Run,
-    Finish,
-    Done(Box<RunReport>),
-}
-
-/// The resumable state machine behind [`QuadraticBoundary`]'s
-/// [`LeaderElection::start`]. Holds the shape as a `Cow`, so the same
-/// machine backs borrowing and owned (`'static`) executions.
-struct QuadraticExecution<'a> {
-    opts: RunOptions,
-    scheduler_name: &'static str,
-    shape: Cow<'a, Shape>,
-    election: Option<PhaseReport>,
+/// The quadratic run's state: how many segment heads survived.
+struct Competition {
     leaders: usize,
-    state: QuadraticState,
 }
 
-impl<'a> QuadraticExecution<'a> {
-    fn new(
-        shape: Cow<'a, Shape>,
-        scheduler_name: &'static str,
-        opts: &RunOptions,
-    ) -> QuadraticExecution<'a> {
-        QuadraticExecution {
-            opts: *opts,
-            scheduler_name,
-            shape,
-            election: None,
-            leaders: 0,
-            state: QuadraticState::Start,
-        }
-    }
-}
-
-impl ExecutionDriver for QuadraticExecution<'_> {
-    fn step(&mut self) -> Result<StepOutcome, ElectionError> {
-        match &self.state {
-            QuadraticState::Start => {
-                self.state = QuadraticState::Run;
-                Ok(StepOutcome::PhaseStarted {
-                    phase: phase::ELECTION,
-                })
-            }
-            QuadraticState::Run => {
-                let outcome = ObdSimulator::new(&self.shape)
-                    .run_with_cost_model(CompetitionCostModel::Sequential);
-                let outer = outcome
-                    .decisions
-                    .iter()
-                    .find(|d| d.declared_outer)
-                    .expect("a connected shape has an outer boundary");
-                // Up to six surviving segment heads, but never more than
-                // there are particles (degenerate rings of tiny shapes).
-                self.leaders = outer.stable_segments.clamp(1, 6).min(self.shape.len());
-                let election = PhaseReport {
-                    name: phase::ELECTION.to_string(),
-                    rounds: outcome.rounds,
-                    activations: 0,
-                    moves: 0,
-                };
-                self.election = Some(election.clone());
-                self.state = QuadraticState::Finish;
-                Ok(StepOutcome::PhaseEnded { report: election })
-            }
-            QuadraticState::Finish => {
-                let election = self.election.clone().expect("the election phase ran");
-                let ring = outer_boundary_ring(&self.shape);
-                let leader = ring
-                    .vnodes()
-                    .first()
-                    .map(|v| v.point)
-                    .expect("a non-empty shape has outer-boundary v-nodes");
-                let report = RunReport {
-                    algorithm: "quadratic-boundary".to_string(),
-                    scheduler: self.scheduler_name.to_string(),
-                    n: self.shape.len(),
-                    leader,
-                    leaders: self.leaders,
-                    // Every non-head particle learns the outcome when the
-                    // surviving segments are announced.
-                    followers: self.shape.len() - self.leaders,
-                    undecided: 0,
-                    total_rounds: election.rounds,
-                    activations: 0,
-                    moves: 0,
-                    phases: vec![election],
-                    peak_memory_bits: QUADRATIC_BOUNDARY_MEMORY_BITS,
-                    connectivity: ConnectivityReport {
-                        tracked: self.opts.track_connectivity,
-                        ..ConnectivityReport::default()
-                    },
-                    // Boundary election never moves particles.
-                    final_connected: true,
-                    final_positions: self.shape.iter().collect(),
-                    profile: Vec::new(),
-                };
-                self.state = QuadraticState::Done(Box::new(report.clone()));
-                Ok(StepOutcome::Finished(report))
-            }
-            QuadraticState::Done(report) => Ok(StepOutcome::Finished((**report).clone())),
-        }
+impl Contender for Competition {
+    fn closed_form(&mut self, _: &'static str, shape: &Shape, _: Option<&DleOutcome>) -> u64 {
+        let outcome =
+            ObdSimulator::new(shape).run_with_cost_model(CompetitionCostModel::Sequential);
+        let outer = outcome
+            .decisions
+            .iter()
+            .find(|d| d.declared_outer)
+            .expect("a connected shape has an outer boundary");
+        // Up to six surviving segment heads, but never more than there are
+        // particles (degenerate rings of tiny shapes).
+        self.leaders = outer.stable_segments.clamp(1, 6).min(shape.len());
+        outcome.rounds
     }
 
-    fn status(&self) -> ExecutionStatus {
-        let n = self.shape.len();
-        let decided = match &self.state {
-            QuadraticState::Finish | QuadraticState::Done(_) => n,
-            _ => 0,
-        };
-        ExecutionStatus {
-            algorithm: "quadratic-boundary",
-            phase: match &self.state {
-                QuadraticState::Run => Some(phase::ELECTION),
-                _ => None,
-            },
-            rounds_in_phase: 0,
-            total_rounds: self.election.as_ref().map_or(0, |e| e.rounds),
-            decided,
-            undecided: n - decided,
-            next_round: None,
-            finished: matches!(self.state, QuadraticState::Done(_)),
-        }
-    }
-
-    fn control(&mut self) -> Option<Box<dyn SystemControl + '_>> {
-        // The competition is simulated in closed form: there is no live
-        // particle system to mutate.
-        None
+    fn finish(&self, report: &mut RunReport, shape: &Shape) {
+        report.leader = outer_boundary_ring(shape)
+            .vnodes()
+            .first()
+            .map(|v| v.point)
+            .expect("a non-empty shape has outer-boundary v-nodes");
+        report.leaders = self.leaders;
+        // Every non-head particle learns the outcome when the surviving
+        // segments are announced.
+        report.followers = shape.len() - self.leaders;
     }
 }
 
@@ -175,32 +69,13 @@ impl LeaderElection for QuadraticBoundary {
         "quadratic-boundary"
     }
 
-    fn start<'a>(
-        &'a self,
-        shape: &'a Shape,
-        scheduler: &'a mut (dyn Scheduler + Send),
-        opts: &RunOptions,
-    ) -> Result<Execution<'a>, ElectionError> {
-        check_initial_configuration(shape)?;
-        Ok(Execution::new(QuadraticExecution::new(
-            Cow::Borrowed(shape),
-            scheduler.name(),
-            opts,
-        )))
-    }
-
-    fn start_owned(
-        &self,
-        shape: &Shape,
-        scheduler: Box<dyn Scheduler + Send>,
-        opts: &RunOptions,
-    ) -> Result<Execution<'static>, ElectionError> {
-        check_initial_configuration(shape)?;
-        Ok(Execution::new(QuadraticExecution::new(
-            Cow::Owned(shape.clone()),
-            scheduler.name(),
-            opts,
-        )))
+    /// One closed-form phase as one coarse step.
+    fn plan<'a>(&self, _: &Shape, _: BoxedScheduler<'a>, _: &RunOptions) -> Plan<'a> {
+        let election = Phase::ClosedForm {
+            name: phase::ELECTION,
+            memory_bits: QUADRATIC_BOUNDARY_MEMORY_BITS,
+        };
+        Plan::new(vec![election], Competition { leaders: 0 })
     }
 }
 
@@ -208,6 +83,7 @@ impl LeaderElection for QuadraticBoundary {
 mod tests {
     use super::*;
     use pm_amoebot::scheduler::RoundRobin;
+    use pm_core::api::ElectionError;
     use pm_core::obd::run_obd;
     use pm_grid::builder::{annulus, hexagon, parallelogram};
 

@@ -11,17 +11,13 @@
 //! `O(L_out + D)` rounds, matching the bounds reported in Table 1 for the
 //! randomized algorithms.
 
-use pm_amoebot::scheduler::Scheduler;
-use pm_amoebot::system::SystemControl;
 use pm_core::api::{
-    check_initial_configuration, phase, ConnectivityReport, ElectionError, Execution,
-    ExecutionDriver, ExecutionStatus, LeaderElection, PhaseReport, RunOptions, RunReport,
-    StepOutcome,
+    phase, BoxedScheduler, Contender, LeaderElection, Phase, Plan, RunOptions, RunReport,
 };
+use pm_core::dle::DleOutcome;
 use pm_grid::{outer_boundary_ring, DistanceMap, Point, Shape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
 
 /// Nominal per-particle memory of the randomized boundary election, in bits:
 /// a coin, a candidate flag and a constant number of token counters (the
@@ -80,162 +76,33 @@ fn tournament(shape: &Shape, seed: u64) -> (u64, Point) {
     (rounds, ring.vnodes()[candidates[0]].point)
 }
 
-/// The randomized-boundary execution: two closed-form phases, each a single
-/// coarse step (the tournament, then the announcement flood).
-enum RandomizedState {
-    StartTournament,
-    RunTournament,
-    StartFlood,
-    RunFlood,
-    Finish,
-    Done(Box<RunReport>),
-}
-
-/// The resumable state machine behind [`RandomizedBoundary`]'s
-/// [`LeaderElection::start`]. Holds the shape as a `Cow`, so the same
-/// machine backs borrowing and owned (`'static`) executions.
-struct RandomizedExecution<'a> {
-    opts: RunOptions,
-    scheduler_name: &'static str,
-    shape: Cow<'a, Shape>,
+/// The randomized run's state: the coin seed, and the tournament's winner,
+/// which the flood starts from.
+struct Tournament {
+    seed: u64,
     winner: Option<Point>,
-    /// Per-phase statistics, built exactly once each: the same structs
-    /// surface in [`StepOutcome::PhaseEnded`] and in the final
-    /// [`RunReport::phases`], so the two can never diverge.
-    election_report: Option<PhaseReport>,
-    flood_report: Option<PhaseReport>,
-    state: RandomizedState,
 }
 
-impl<'a> RandomizedExecution<'a> {
-    fn new(
-        shape: Cow<'a, Shape>,
-        scheduler_name: &'static str,
-        opts: &RunOptions,
-    ) -> RandomizedExecution<'a> {
-        RandomizedExecution {
-            opts: *opts,
-            scheduler_name,
-            shape,
-            winner: None,
-            election_report: None,
-            flood_report: None,
-            state: RandomizedState::StartTournament,
+impl Contender for Tournament {
+    fn closed_form(&mut self, phase: &'static str, shape: &Shape, _: Option<&DleOutcome>) -> u64 {
+        if phase == phase::ELECTION {
+            let (rounds, winner) = tournament(shape, self.seed);
+            self.winner = Some(winner);
+            return rounds;
         }
-    }
-}
-
-impl ExecutionDriver for RandomizedExecution<'_> {
-    fn step(&mut self) -> Result<StepOutcome, ElectionError> {
-        match &self.state {
-            RandomizedState::StartTournament => {
-                self.state = RandomizedState::RunTournament;
-                Ok(StepOutcome::PhaseStarted {
-                    phase: phase::ELECTION,
-                })
-            }
-            RandomizedState::RunTournament => {
-                let (rounds, winner) = tournament(&self.shape, self.opts.seed);
-                self.winner = Some(winner);
-                let report = PhaseReport {
-                    name: phase::ELECTION.to_string(),
-                    rounds,
-                    activations: 0,
-                    moves: 0,
-                };
-                self.election_report = Some(report.clone());
-                self.state = RandomizedState::StartFlood;
-                Ok(StepOutcome::PhaseEnded { report })
-            }
-            RandomizedState::StartFlood => {
-                self.state = RandomizedState::RunFlood;
-                Ok(StepOutcome::PhaseStarted {
-                    phase: phase::FLOOD,
-                })
-            }
-            RandomizedState::RunFlood => {
-                // Termination announcement: flood from the winner through
-                // the shape.
-                let winner = self.winner.expect("the tournament ran");
-                let flood_rounds = DistanceMap::within_shape(&self.shape, winner)
-                    .eccentricity_over(self.shape.iter())
-                    .unwrap_or(0) as u64;
-                let report = PhaseReport {
-                    name: phase::FLOOD.to_string(),
-                    rounds: flood_rounds,
-                    activations: 0,
-                    moves: 0,
-                };
-                self.flood_report = Some(report.clone());
-                self.state = RandomizedState::Finish;
-                Ok(StepOutcome::PhaseEnded { report })
-            }
-            RandomizedState::Finish => {
-                let winner = self.winner.expect("the tournament ran");
-                let election = self.election_report.clone().expect("the tournament ran");
-                let flood = self.flood_report.clone().expect("the flood ran");
-                let report = RunReport {
-                    algorithm: "randomized-boundary".to_string(),
-                    scheduler: self.scheduler_name.to_string(),
-                    n: self.shape.len(),
-                    leader: winner,
-                    leaders: 1,
-                    // The flood announces the winner to every other
-                    // particle.
-                    followers: self.shape.len() - 1,
-                    undecided: 0,
-                    total_rounds: election.rounds + flood.rounds,
-                    activations: 0,
-                    moves: 0,
-                    phases: vec![election, flood],
-                    peak_memory_bits: RANDOMIZED_BOUNDARY_MEMORY_BITS,
-                    connectivity: ConnectivityReport {
-                        tracked: self.opts.track_connectivity,
-                        ..ConnectivityReport::default()
-                    },
-                    // Boundary election never moves particles.
-                    final_connected: true,
-                    final_positions: self.shape.iter().collect(),
-                    profile: Vec::new(),
-                };
-                self.state = RandomizedState::Done(Box::new(report.clone()));
-                Ok(StepOutcome::Finished(report))
-            }
-            RandomizedState::Done(report) => Ok(StepOutcome::Finished((**report).clone())),
-        }
+        // Termination announcement: flood from the winner through the
+        // shape.
+        let winner = self.winner.expect("the tournament ran");
+        DistanceMap::within_shape(shape, winner)
+            .eccentricity_over(shape.iter())
+            .unwrap_or(0) as u64
     }
 
-    fn status(&self) -> ExecutionStatus {
-        let n = self.shape.len();
-        // Everyone decides when the flood completes (the winner's
-        // announcement reaches every particle).
-        let decided = match &self.state {
-            RandomizedState::Finish | RandomizedState::Done(_) => n,
-            _ => 0,
-        };
-        let phase = match &self.state {
-            RandomizedState::RunTournament => Some(phase::ELECTION),
-            RandomizedState::RunFlood => Some(phase::FLOOD),
-            _ => None,
-        };
-        let total_rounds = self.election_report.as_ref().map_or(0, |r| r.rounds)
-            + self.flood_report.as_ref().map_or(0, |r| r.rounds);
-        ExecutionStatus {
-            algorithm: "randomized-boundary",
-            phase,
-            rounds_in_phase: 0,
-            total_rounds,
-            decided,
-            undecided: n - decided,
-            next_round: None,
-            finished: matches!(self.state, RandomizedState::Done(_)),
-        }
-    }
-
-    fn control(&mut self) -> Option<Box<dyn SystemControl + '_>> {
-        // Both phases are simulated in closed form: there is no live
-        // particle system to mutate.
-        None
+    fn finish(&self, report: &mut RunReport, shape: &Shape) {
+        report.leader = self.winner.expect("the tournament ran");
+        report.leaders = 1;
+        // The flood announces the winner to every other particle.
+        report.followers = shape.len() - 1;
     }
 }
 
@@ -244,32 +111,21 @@ impl LeaderElection for RandomizedBoundary {
         "randomized-boundary"
     }
 
-    fn start<'a>(
-        &'a self,
-        shape: &'a Shape,
-        scheduler: &'a mut (dyn Scheduler + Send),
-        opts: &RunOptions,
-    ) -> Result<Execution<'a>, ElectionError> {
-        check_initial_configuration(shape)?;
-        Ok(Execution::new(RandomizedExecution::new(
-            Cow::Borrowed(shape),
-            scheduler.name(),
-            opts,
-        )))
-    }
-
-    fn start_owned(
-        &self,
-        shape: &Shape,
-        scheduler: Box<dyn Scheduler + Send>,
-        opts: &RunOptions,
-    ) -> Result<Execution<'static>, ElectionError> {
-        check_initial_configuration(shape)?;
-        Ok(Execution::new(RandomizedExecution::new(
-            Cow::Owned(shape.clone()),
-            scheduler.name(),
-            opts,
-        )))
+    /// Two closed-form phases, each one coarse step: the tournament, then
+    /// the announcement flood.
+    fn plan<'a>(&self, _: &Shape, _: BoxedScheduler<'a>, opts: &RunOptions) -> Plan<'a> {
+        let closed_form = |name| Phase::ClosedForm {
+            name,
+            memory_bits: RANDOMIZED_BOUNDARY_MEMORY_BITS,
+        };
+        let tournament = Tournament {
+            seed: opts.seed,
+            winner: None,
+        };
+        Plan::new(
+            vec![closed_form(phase::ELECTION), closed_form(phase::FLOOD)],
+            tournament,
+        )
     }
 }
 
@@ -277,6 +133,7 @@ impl LeaderElection for RandomizedBoundary {
 mod tests {
     use super::*;
     use pm_amoebot::scheduler::RoundRobin;
+    use pm_core::api::ElectionError;
     use pm_grid::builder::{annulus, hexagon, line};
     use pm_grid::Metric;
 

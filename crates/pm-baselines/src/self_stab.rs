@@ -29,13 +29,11 @@
 //! quiescence machinery detects without burning activations.
 
 use pm_amoebot::algorithm::{ActivationContext, Algorithm, InitContext};
-use pm_amoebot::scheduler::{RunError, Runner, Scheduler};
-use pm_amoebot::system::{ParticleSystem, SystemControl};
+use pm_amoebot::system::ParticleSystem;
 use pm_core::api::{
-    check_initial_configuration, phase, ConnectivityReport, ElectionError, Execution,
-    ExecutionDriver, ExecutionStatus, LeaderElection, PhaseReport, RunOptions, RunReport,
-    StepOutcome,
+    phase, BoxedScheduler, LeaderElection, Phase, Plan, RoundDriven, Rounds, RunOptions,
 };
+use pm_core::dle::Status;
 use pm_grid::{Direction, Point, Shape, DIRECTIONS};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -279,218 +277,25 @@ fn view_at(system: &ParticleSystem<SelfStabMemory>, index: usize) -> LocalView {
     }
 }
 
-/// `(stable, unstable)` particle counts over a live system.
-fn stability_counts(system: &ParticleSystem<SelfStabMemory>, max_hops: u32) -> (usize, usize) {
-    let stable = system
-        .iter()
-        .filter(|(id, _)| view_at(system, id.index()).repair(max_hops).is_none())
-        .count();
-    (stable, system.len() - stable)
-}
-
-/// The self-stabilising election's position: one round-driven phase.
-enum SsMaxState {
-    Start,
-    Rounds,
-    Finish,
-    Done(Box<RunReport>),
-}
-
-/// The resumable state machine behind [`SelfStabMaxElection`]'s
-/// [`LeaderElection::start`]; generic over the scheduler it owns exactly as
-/// the erosion baseline's.
-struct SsMaxExecution<S: Scheduler> {
-    opts: RunOptions,
-    scheduler_name: &'static str,
-    n: usize,
-    algorithm: SsMaxAlgorithm,
-    runner: Option<Runner<SsMaxAlgorithm, S>>,
-    budget: u64,
-    phase_report: Option<PhaseReport>,
-    state: SsMaxState,
-}
-
-impl<S: Scheduler> SsMaxExecution<S> {
-    fn start(
-        shape: &Shape,
-        scheduler: S,
-        opts: &RunOptions,
-    ) -> Result<SsMaxExecution<S>, ElectionError> {
-        check_initial_configuration(shape)?;
-        let scheduler_name = scheduler.name();
-        // The hop bound must exceed any reachable graph distance; the
-        // diameter is below n, and the factor-2-plus-slack headroom keeps
-        // regrow faults (which add particles mid-run) inside the bound.
-        let algorithm = SsMaxAlgorithm {
-            max_hops: 2 * shape.len() as u32 + 64,
-        };
-        let system = ParticleSystem::from_shape_with_backend(shape, &algorithm, opts.occupancy);
-        let mut runner = Runner::new(system, algorithm, scheduler);
-        runner.track_connectivity = opts.track_connectivity;
-        // Stabilisation is O(diameter) from clean starts but phantom claims
-        // can climb the hop chain before dying, so the default budget is
-        // roomier than the erosion baseline's.
-        let budget = opts
-            .round_budget
-            .unwrap_or_else(|| 16 * (shape.len() as u64 + 16));
-        Ok(SsMaxExecution {
-            opts: *opts,
-            scheduler_name,
-            n: shape.len(),
-            algorithm,
-            runner: Some(runner),
-            budget,
-            phase_report: None,
-            state: SsMaxState::Start,
-        })
-    }
-}
-
-impl<S: Scheduler> ExecutionDriver for SsMaxExecution<S> {
-    fn step(&mut self) -> Result<StepOutcome, ElectionError> {
-        match &mut self.state {
-            SsMaxState::Start => {
-                self.state = SsMaxState::Rounds;
-                Ok(StepOutcome::PhaseStarted {
-                    phase: phase::ELECTION,
-                })
-            }
-            SsMaxState::Rounds => {
-                let runner = self.runner.as_mut().expect("Rounds state holds a runner");
-                if runner.system().is_empty() {
-                    return Err(ElectionError::Run(RunError::EmptySystem));
-                }
-                if runner.is_complete() {
-                    let mut runner = self.runner.take().expect("checked above");
-                    runner.finalize();
-                    let stats = *runner.stats();
-                    let report = PhaseReport {
-                        name: phase::ELECTION.to_string(),
-                        rounds: stats.rounds,
-                        activations: stats.activations,
-                        moves: stats.moves(),
-                    };
-                    self.phase_report = Some(report.clone());
-                    self.runner = Some(runner);
-                    self.state = SsMaxState::Finish;
-                    return Ok(StepOutcome::PhaseEnded { report });
-                }
-                if runner.stats().rounds >= self.budget {
-                    return Err(ElectionError::Stuck {
-                        after_rounds: self.budget,
-                    });
-                }
-                let stats = runner.step();
-                Ok(StepOutcome::RoundCompleted {
-                    phase: phase::ELECTION,
-                    rounds: stats.rounds,
-                })
-            }
-            SsMaxState::Finish => {
-                let runner = self.runner.as_ref().expect("Finish keeps the system");
-                let system = runner.system();
-                let stats = *runner.stats();
-                let final_positions: Vec<_> = system.iter().map(|(_, p)| p.head()).collect();
-                let final_connected = system.is_connected();
-                // At stability every claim resolves to an occupied position
-                // and exactly one particle per connected component
-                // self-claims (see the module docs); faults keep the shape
-                // connected, so the leader count is 1.
-                let mut leaders = 0usize;
-                let mut leader = None;
-                for (_, p) in system.iter() {
-                    if p.memory().is_self_claim() {
-                        leaders += 1;
-                        leader = Some(p.head());
-                    }
-                }
-                let followers = system.len() - leaders;
-                let phase_report = self.phase_report.clone().expect("the election phase ended");
-                let report = RunReport {
-                    algorithm: "self-stab-max".to_string(),
-                    scheduler: self.scheduler_name.to_string(),
-                    n: self.n,
-                    leader: leader.expect("a stable non-empty system has a self-claiming particle"),
-                    leaders,
-                    followers,
-                    undecided: 0,
-                    total_rounds: phase_report.rounds,
-                    activations: phase_report.activations,
-                    moves: phase_report.moves,
-                    phases: vec![phase_report],
-                    peak_memory_bits: SELF_STAB_MEMORY_BITS,
-                    connectivity: ConnectivityReport {
-                        tracked: self.opts.track_connectivity,
-                        ever_disconnected: stats.ever_disconnected,
-                        disconnected_rounds: stats.disconnected_rounds,
-                    },
-                    final_connected,
-                    final_positions,
-                    profile: Vec::new(),
-                };
-                self.state = SsMaxState::Done(Box::new(report.clone()));
-                Ok(StepOutcome::Finished(report))
-            }
-            SsMaxState::Done(report) => Ok(StepOutcome::Finished((**report).clone())),
+impl RoundDriven for SsMaxAlgorithm {
+    /// Self-claimers lead. At stability every claim resolves to an occupied
+    /// position and exactly one particle per connected component
+    /// self-claims (see the module docs), and no particle stays undecided.
+    fn status(memory: &SelfStabMemory) -> Status {
+        if memory.is_self_claim() {
+            Status::Leader
+        } else {
+            Status::Follower
         }
     }
 
-    fn status(&self) -> ExecutionStatus {
-        let (phase, rounds, next_round, counts) = match &self.state {
-            SsMaxState::Start => (None, 0, None, None),
-            SsMaxState::Rounds => {
-                let runner = self.runner.as_ref().expect("Rounds state holds a runner");
-                let rounds = runner.stats().rounds;
-                let next = if !runner.is_complete() && rounds < self.budget {
-                    Some(rounds)
-                } else {
-                    None
-                };
-                (
-                    Some(phase::ELECTION),
-                    rounds,
-                    next,
-                    Some(stability_counts(runner.system(), self.algorithm.max_hops)),
-                )
-            }
-            SsMaxState::Finish | SsMaxState::Done(_) => {
-                let counts = self
-                    .runner
-                    .as_ref()
-                    .map(|runner| stability_counts(runner.system(), self.algorithm.max_hops));
-                let rounds = self.phase_report.as_ref().map_or(0, |report| report.rounds);
-                (None, rounds, None, counts)
-            }
-        };
-        let (decided, undecided) = counts.unwrap_or((0, self.n));
-        ExecutionStatus {
-            algorithm: "self-stab-max",
-            phase,
-            rounds_in_phase: if phase.is_some() { rounds } else { 0 },
-            total_rounds: rounds,
-            decided,
-            undecided,
-            next_round,
-            finished: matches!(self.state, SsMaxState::Done(_)),
-        }
-    }
-
-    fn next_round(&self) -> Option<(&'static str, u64)> {
-        if !matches!(self.state, SsMaxState::Rounds) {
-            return None;
-        }
-        let runner = self.runner.as_ref()?;
-        let rounds = runner.stats().rounds;
-        (!runner.is_complete() && rounds < self.budget).then_some((phase::ELECTION, rounds))
-    }
-
-    fn control(&mut self) -> Option<Box<dyn SystemControl + '_>> {
-        if !matches!(self.state, SsMaxState::Rounds) {
-            return None;
-        }
-        self.runner
-            .as_mut()
-            .map(|runner| Box::new(runner.control()) as Box<dyn SystemControl + '_>)
+    /// Stable particles count as decided, unstable ones as undecided.
+    fn tally(&self, system: &ParticleSystem<SelfStabMemory>) -> (usize, usize) {
+        let stable = system
+            .iter()
+            .filter(|(id, _)| view_at(system, id.index()).repair(self.max_hops).is_none())
+            .count();
+        (stable, system.len() - stable)
     }
 }
 
@@ -503,26 +308,24 @@ impl LeaderElection for SelfStabMaxElection {
         "self-stab-max"
     }
 
-    fn start<'a>(
-        &'a self,
-        shape: &'a Shape,
-        scheduler: &'a mut (dyn Scheduler + Send),
-        opts: &RunOptions,
-    ) -> Result<Execution<'a>, ElectionError> {
-        Ok(Execution::new(SsMaxExecution::start(
-            shape, scheduler, opts,
-        )?))
-    }
-
-    fn start_owned(
+    fn plan<'a>(
         &self,
         shape: &Shape,
-        scheduler: Box<dyn Scheduler + Send>,
+        scheduler: BoxedScheduler<'a>,
         opts: &RunOptions,
-    ) -> Result<Execution<'static>, ElectionError> {
-        Ok(Execution::new(SsMaxExecution::start(
-            shape, scheduler, opts,
-        )?))
+    ) -> Plan<'a> {
+        // The hop bound must exceed any reachable graph distance; the
+        // diameter is below n, and the factor-2-plus-slack headroom keeps
+        // regrow faults (which add particles mid-run) inside the bound.
+        let algorithm = SsMaxAlgorithm {
+            max_hops: 2 * shape.len() as u32 + 64,
+        };
+        // Stabilisation is O(diameter) from clean starts but phantom claims
+        // can climb the hop chain before dying, so the default budget is
+        // roomier than the erosion baseline's.
+        let budget = 16 * (shape.len() as u64 + 16);
+        let rounds = Rounds::new(phase::ELECTION, algorithm, shape, scheduler, opts, budget);
+        Plan::new(vec![Phase::Rounds(rounds.stalls())], ())
     }
 }
 
@@ -530,6 +333,7 @@ impl LeaderElection for SelfStabMaxElection {
 mod tests {
     use super::*;
     use pm_amoebot::scheduler::{ReverseRoundRobin, RoundRobin, SeededRandom};
+    use pm_core::api::{ElectionError, StepOutcome};
     use pm_grid::builder::{annulus, comb, hexagon, line, spiral};
 
     #[test]

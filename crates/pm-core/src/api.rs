@@ -66,11 +66,25 @@
 //!
 //! Round-by-round *instrumentation* is the same loop without the mutation:
 //! match on the [`StepOutcome`]s and read [`Execution::status`].
+//!
+//! # Declaring a contender
+//!
+//! One [`Execution`] drives every contender. A contender implements only
+//! [`LeaderElection::plan`]: a [`Plan`] of [`Phase`]s (closed-form ones,
+//! and a [`Rounds`] phase over a [`RoundDriven`] amoebot algorithm) plus a
+//! per-run [`Contender`] state for closed-form bodies and its own report
+//! fields. The execution owns the step grammar, the phase reports and
+//! their totals, the status, the budget and no-leader errors, and the
+//! final report.
 
 use crate::collect::{CollectOutcome, CollectSimulator};
-use crate::dle::{count_decisions, default_round_budget, DleAlgorithm, DleMemory, DleOutcome};
+use crate::dle::{
+    count_decisions, default_round_budget, DleAlgorithm, DleMemory, DleOutcome, Status,
+};
 use crate::obd::run_obd;
+use pm_amoebot::algorithm::Algorithm;
 use pm_amoebot::scheduler::{RunError, Runner, RunnerSnapshot, Scheduler, SeededRandom};
+use pm_amoebot::stats::RunStats;
 use pm_amoebot::system::{OccupancyBackend, ParticleSystem, SystemControl};
 use pm_grid::{Point, Shape};
 use pm_telemetry::trace;
@@ -164,6 +178,14 @@ pub enum ElectionError {
         /// Rounds executed before the run was declared stuck.
         after_rounds: u64,
     },
+    /// The round-driven phase completed with no leader: a caller-side
+    /// fault removed the particle that was leader (or would have become
+    /// it). The phase stays open, and stepping again answers the same
+    /// error.
+    NoLeader {
+        /// Rounds of the round-driven phase executed when it completed.
+        after_rounds: u64,
+    },
 }
 
 impl fmt::Display for ElectionError {
@@ -175,6 +197,12 @@ impl fmt::Display for ElectionError {
             ElectionError::Run(e) => write!(f, "execution failed: {e}"),
             ElectionError::Stuck { after_rounds } => {
                 write!(f, "algorithm made no progress after {after_rounds} rounds")
+            }
+            ElectionError::NoLeader { after_rounds } => {
+                write!(
+                    f,
+                    "no leader left when the election completed after {after_rounds} rounds"
+                )
             }
         }
     }
@@ -441,62 +469,248 @@ pub struct ExecutionStatus {
     pub finished: bool,
 }
 
-/// The implementation surface behind [`Execution`]: one algorithm's
-/// resumable state machine. Callers never see this trait — they hold an
-/// [`Execution`] — but every [`LeaderElection::start`] implementation
-/// provides one and wraps it with [`Execution::new`].
-pub trait ExecutionDriver {
-    /// Advances the state machine by one step (see [`StepOutcome`] for the
-    /// grammar of outcomes).
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`LeaderElection::elect`], surfaced at the step
-    /// that hits them; stepping again after an error returns it again.
-    fn step(&mut self) -> Result<StepOutcome, ElectionError>;
+/// A scheduler as a contender's [`LeaderElection::plan`] receives it:
+/// borrowed by [`LeaderElection::start`], owned by
+/// [`LeaderElection::start_owned`].
+pub type BoxedScheduler<'a> = Box<dyn Scheduler + Send + 'a>;
 
-    /// The current status snapshot.
-    fn status(&self) -> ExecutionStatus;
+/// An amoebot algorithm that a contender runs as a round-driven phase. The
+/// execution steps it one asynchronous round per step and reads each
+/// particle's election output off its memory.
+pub trait RoundDriven: Algorithm<Memory: Serialize + Deserialize + Send> + Send {
+    /// The particle's election output.
+    fn status(memory: &Self::Memory) -> Status;
 
-    /// The upcoming round of the active round-driven phase, with its phase
-    /// name: `Some((phase, r))` iff the next [`ExecutionDriver::step`] will
-    /// execute round `r`. The default derives it from
-    /// [`ExecutionDriver::status`]; drivers with a live particle system
-    /// override it with an `O(1)` path, since `status()` tallies
-    /// per-particle decision counts and per-round pollers (perturbation
-    /// scripts) should not pay `O(n)` per round for it.
-    fn next_round(&self) -> Option<(&'static str, u64)> {
-        let status = self.status();
-        status.phase.zip(status.next_round)
+    /// `(decided, undecided)` over the live system: the tally
+    /// [`Execution::status`] reports while the phase runs. Counts
+    /// [`RoundDriven::status`] by default.
+    fn tally(&self, system: &ParticleSystem<Self::Memory>) -> (usize, usize) {
+        count_decisions(system.iter().map(|(_, p)| Self::status(p.memory())))
+    }
+}
+
+/// A round-driven phase's [`Runner`], with its algorithm and scheduler
+/// types erased.
+trait LiveRunner: Send {
+    fn stats(&self) -> &RunStats;
+    fn is_empty(&self) -> bool;
+    fn is_complete(&self) -> bool;
+    fn step(&mut self) -> u64;
+    fn tally(&self) -> (usize, usize);
+    fn control(&mut self) -> Box<dyn SystemControl + '_>;
+    /// Folds in the final counters and reads the phase's outcome; `None`
+    /// when no particle is leader.
+    fn outcome(&mut self) -> Option<DleOutcome>;
+    fn snapshot(&self) -> serde::Value;
+    fn restore(&mut self, snapshot: &serde::Value) -> Result<(), String>;
+}
+
+impl<A: RoundDriven, S: Scheduler + Send> LiveRunner for Runner<A, S> {
+    fn stats(&self) -> &RunStats {
+        Runner::stats(self)
     }
 
-    /// Mutable access to the live particle system while a round-driven
-    /// phase is active; `None` otherwise.
-    fn control(&mut self) -> Option<Box<dyn SystemControl + '_>>;
+    fn is_empty(&self) -> bool {
+        self.system().is_empty()
+    }
 
-    /// A portable snapshot of the driver's complete mid-run state, as a
-    /// serde value tree — the substrate of *re-baselined* checkpoints,
-    /// whose replay cost is bounded by the snapshot age instead of the
-    /// session age. Drivers without native snapshot support (the default)
-    /// return `None`; callers then fall back to replaying from step zero.
-    fn snapshot(&self) -> Option<serde::Value> {
+    fn is_complete(&self) -> bool {
+        Runner::is_complete(self)
+    }
+
+    fn step(&mut self) -> u64 {
+        Runner::step(self).rounds
+    }
+
+    fn tally(&self) -> (usize, usize) {
+        self.algorithm().tally(self.system())
+    }
+
+    fn control(&mut self) -> Box<dyn SystemControl + '_> {
+        Box::new(Runner::control(self))
+    }
+
+    fn outcome(&mut self) -> Option<DleOutcome> {
+        let stats = self.finalize();
+        DleOutcome::from_run(stats, self.system(), A::status)
+    }
+
+    fn snapshot(&self) -> serde::Value {
+        Runner::snapshot(self).to_value()
+    }
+
+    fn restore(&mut self, snapshot: &serde::Value) -> Result<(), String> {
+        let snapshot = RunnerSnapshot::from_value(snapshot)
+            .map_err(|e| format!("malformed runner snapshot: {e}"))?;
+        self.restore_snapshot(&snapshot)
+    }
+}
+
+/// A round-driven phase: a [`Runner`] over a [`RoundDriven`] algorithm,
+/// with the phase's round budget.
+pub struct Rounds<'a> {
+    name: &'static str,
+    /// The live runner; `None` once the phase has ended.
+    runner: Option<Box<dyn LiveRunner + 'a>>,
+    budget: u64,
+    /// Whether running out of budget is a stall the contender may
+    /// legitimately hit ([`ElectionError::Stuck`]) rather than a bug
+    /// ([`RunError::RoundLimitExceeded`]).
+    stalls: bool,
+    /// Measured from the algorithm's particle memory.
+    memory_bits: u64,
+}
+
+impl<'a> Rounds<'a> {
+    /// The phase `name`: `algorithm` on a particle system built from
+    /// `shape` (with `opts`' occupancy backend and connectivity tracking),
+    /// stepped under `scheduler`, within `opts`' round budget or
+    /// `default_budget` when `opts` sets none.
+    pub fn new<A: RoundDriven + 'a>(
+        name: &'static str,
+        algorithm: A,
+        shape: &Shape,
+        scheduler: BoxedScheduler<'a>,
+        opts: &RunOptions,
+        default_budget: u64,
+    ) -> Rounds<'a> {
+        let _span = trace::span("start", "start:system");
+        let system = ParticleSystem::from_shape_with_backend(shape, &algorithm, opts.occupancy);
+        let mut runner = Runner::new(system, algorithm, scheduler);
+        runner.track_connectivity = opts.track_connectivity;
+        Rounds {
+            name,
+            runner: Some(Box::new(runner)),
+            budget: opts.round_budget.unwrap_or(default_budget),
+            stalls: false,
+            memory_bits: (std::mem::size_of::<A::Memory>() * 8) as u64,
+        }
+    }
+
+    /// Declares running out of budget an expected stall of the contender
+    /// ([`ElectionError::Stuck`], e.g. erosion on a shape with holes).
+    pub fn stalls(self) -> Rounds<'a> {
+        Rounds {
+            stalls: true,
+            ..self
+        }
+    }
+}
+
+/// One phase of a run, as a contender declares it in its [`Plan`].
+pub enum Phase<'a> {
+    /// A phase simulated in closed form: one step runs
+    /// [`Contender::closed_form`] and charges the rounds it returns.
+    ClosedForm {
+        /// The phase name (see [`phase`]).
+        name: &'static str,
+        /// Nominal per-particle memory, in bits (a model-level bound;
+        /// nothing runs to measure it).
+        memory_bits: u64,
+    },
+    /// A round-driven phase, stepped one asynchronous round per step.
+    Rounds(Rounds<'a>),
+}
+
+impl Phase<'_> {
+    fn name(&self) -> &'static str {
+        match self {
+            Phase::ClosedForm { name, .. } => name,
+            Phase::Rounds(rounds) => rounds.name,
+        }
+    }
+
+    fn memory_bits(&self) -> u64 {
+        match self {
+            Phase::ClosedForm { memory_bits, .. } => *memory_bits,
+            Phase::Rounds(rounds) => rounds.memory_bits,
+        }
+    }
+}
+
+/// The execution's side of a native snapshot (see [`Contender::snapshot`]).
+#[derive(Clone, Debug)]
+pub struct DriverState {
+    /// The position in the phase sequence: `start-<phase>` before a phase,
+    /// `run-<phase>` inside it, `finish` after the last, `done` once
+    /// finished.
+    pub state: String,
+    /// Reports of the phases that have ended (empty once finished: they
+    /// have moved into the final report).
+    pub reports: Vec<PhaseReport>,
+    /// The outcome of the round-driven phase, once it has ended.
+    pub rounds: Option<DleOutcome>,
+    /// The final report, once finished.
+    pub done: Option<RunReport>,
+    /// The live runner's snapshot, inside a round-driven phase.
+    pub runner: Option<serde::Value>,
+}
+
+/// What a contender keeps for one run: the bodies of its closed-form
+/// phases and the report fields the execution cannot fill itself. Every
+/// method has a default, so a contender that is one round-driven phase
+/// plans with `()`.
+pub trait Contender: Send {
+    /// Runs the closed-form phase `phase` whole and returns the rounds it
+    /// charges. `rounds` is the outcome of the round-driven phase, once it
+    /// has ended.
+    fn closed_form(
+        &mut self,
+        phase: &'static str,
+        shape: &Shape,
+        rounds: Option<&DleOutcome>,
+    ) -> u64 {
+        let _ = (shape, rounds);
+        unreachable!("the closed-form phase `{phase}` has no body")
+    }
+
+    /// Fills in the contender's own report fields once every phase has
+    /// ended. The execution fills the rest beforehand: leader, decision
+    /// counts, final positions and connectivity from the round-driven
+    /// phase's outcome, or, when no such phase ran, the initial shape as
+    /// the final configuration with nobody undecided (the contender then
+    /// names the leader, `leaders` and `followers`).
+    fn finish(&self, report: &mut RunReport, shape: &Shape) {
+        let _ = (report, shape);
+    }
+
+    /// A native snapshot of the run: the execution's state, captured on
+    /// demand by `driver`, plus the contender's own. `None` (the default)
+    /// means no native snapshot support; callers then replay from step
+    /// zero.
+    fn snapshot(&self, driver: &dyn Fn() -> DriverState) -> Option<serde::Value> {
+        let _ = driver;
         None
     }
 
-    /// Restores state captured by [`ExecutionDriver::snapshot`] into a
-    /// *freshly started* driver of the same configuration. After a
-    /// successful restore the driver continues exactly as the snapshotted
-    /// one would have — byte-identically, by the same determinism contract
-    /// as replay.
+    /// Takes back the contender's part of a [`Contender::snapshot`] and
+    /// returns the execution's part.
     ///
     /// # Errors
     ///
-    /// Malformed or mismatched snapshots are rejected; the driver should
-    /// then be discarded (callers fall back to a full replay on a fresh
-    /// driver).
-    fn restore_snapshot(&mut self, snapshot: &serde::Value) -> Result<(), String> {
+    /// Malformed snapshots, and every snapshot by default.
+    fn restore(&mut self, snapshot: &serde::Value) -> Result<DriverState, String> {
         let _ = snapshot;
         Err("this execution does not support native snapshots".to_string())
+    }
+}
+
+impl Contender for () {}
+
+/// One run as a contender declares it ([`LeaderElection::plan`]): its
+/// phases in order, and its per-run state.
+pub struct Plan<'a> {
+    phases: Vec<Phase<'a>>,
+    contender: Box<dyn Contender + 'a>,
+}
+
+impl<'a> Plan<'a> {
+    /// A run of `phases`, keeping `contender` as its per-run state.
+    pub fn new(phases: Vec<Phase<'a>>, contender: impl Contender + 'a) -> Plan<'a> {
+        Plan {
+            phases,
+            contender: Box::new(contender),
+        }
     }
 }
 
@@ -510,11 +724,35 @@ pub trait ExecutionDriver {
 /// remainder to completion. [`LeaderElection::elect`] is exactly
 /// `start(..)?.finish()`.
 ///
-/// Executions are `Send` (drivers carry `Send` state and schedulers are
-/// `Send`), so a session scheduler may park thousands of them and sweep
-/// them from worker threads; see [`crate::session::SessionScheduler`].
+/// One execution drives every contender: it walks the [`Plan`] the
+/// contender declared, and owns the step grammar, the phase reports and
+/// their totals, the status, the empty-system, budget and no-leader errors,
+/// and the final report.
+///
+/// Executions are `Send`, so a session scheduler may park thousands of them
+/// and sweep them from worker threads; see
+/// [`crate::session::SessionScheduler`].
 pub struct Execution<'a> {
-    driver: Box<dyn ExecutionDriver + Send + 'a>,
+    /// The contender's [`LeaderElection::name`].
+    algorithm: &'static str,
+    scheduler: &'static str,
+    track_connectivity: bool,
+    shape: Cow<'a, Shape>,
+    phases: Vec<Phase<'a>>,
+    contender: Box<dyn Contender + 'a>,
+    /// The running phase, or the next one to start (`phases.len()` once
+    /// every phase has ended).
+    next: usize,
+    /// Whether `phases[next]` has started and not yet ended.
+    active: bool,
+    /// Reports of the phases that have ended, built exactly once: the same
+    /// structs surface in [`StepOutcome::PhaseEnded`] and in the final
+    /// [`RunReport::phases`], so the two can never diverge.
+    reports: Vec<PhaseReport>,
+    /// The outcome of the round-driven phase, once it has ended.
+    outcome: Option<DleOutcome>,
+    /// The final report, once [`StepOutcome::Finished`] has been returned.
+    done: Option<Box<RunReport>>,
     /// Per-phase wall-clock accounting, present only after
     /// [`Execution::enable_profiling`] — the disabled path adds no timing
     /// call and no branch beyond one `Option` check.
@@ -566,13 +804,32 @@ impl Profiler {
 }
 
 impl<'a> Execution<'a> {
-    /// Wraps an algorithm's driver. Called by [`LeaderElection::start`]
-    /// implementations, not by end users.
-    pub fn new(driver: impl ExecutionDriver + Send + 'a) -> Execution<'a> {
-        Execution {
-            driver: Box::new(driver),
+    /// Checks the initial configuration and walks the contender's plan from
+    /// its first phase: the body of both [`LeaderElection::start`] and
+    /// [`LeaderElection::start_owned`].
+    fn start<E: LeaderElection + ?Sized>(
+        election: &E,
+        shape: Cow<'a, Shape>,
+        scheduler: BoxedScheduler<'a>,
+        opts: &RunOptions,
+    ) -> Result<Execution<'a>, ElectionError> {
+        check_initial_configuration(&shape)?;
+        let scheduler_name = scheduler.name();
+        let Plan { phases, contender } = election.plan(&shape, scheduler, opts);
+        Ok(Execution {
+            algorithm: election.name(),
+            scheduler: scheduler_name,
+            track_connectivity: opts.track_connectivity,
+            shape,
+            phases,
+            contender,
+            next: 0,
+            active: false,
+            reports: Vec::new(),
+            outcome: None,
+            done: None,
             profiler: None,
-        }
+        })
     }
 
     /// Turns on per-phase wall-clock profiling: from now on every
@@ -588,19 +845,6 @@ impl<'a> Execution<'a> {
         }
     }
 
-    /// Whether [`Execution::enable_profiling`] was called.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profiler.is_some()
-    }
-
-    /// The per-phase profile accumulated so far (the running phase's entry
-    /// updates step by step). Empty unless profiling is enabled.
-    pub fn profile(&self) -> &[PhaseProfile] {
-        self.profiler
-            .as_ref()
-            .map_or(&[], |profiler| profiler.phases.as_slice())
-    }
-
     /// Advances the run by one step: a phase boundary, one asynchronous
     /// round of a round-driven phase, one closed-form phase body, or the
     /// final report. Stepping a finished execution returns
@@ -609,17 +853,19 @@ impl<'a> Execution<'a> {
     /// # Errors
     ///
     /// The same errors as [`LeaderElection::elect`], surfaced at the step
-    /// that hits them.
+    /// that hits them; stepping again after an error returns it again.
     pub fn step_round(&mut self) -> Result<StepOutcome, ElectionError> {
-        let Some(profiler) = self.profiler.as_mut() else {
-            return self.driver.step();
-        };
+        if self.profiler.is_none() {
+            return self.step();
+        }
         let started = std::time::Instant::now();
-        let mut outcome = self.driver.step()?;
+        let mut outcome = self.step()?;
         let ended = std::time::Instant::now();
         let wall_nanos =
             u64::try_from(ended.duration_since(started).as_nanos()).unwrap_or(u64::MAX);
-        profiler.record(&mut outcome, wall_nanos);
+        if let Some(profiler) = self.profiler.as_mut() {
+            profiler.record(&mut outcome, wall_nanos);
+        }
         // Tracing rides the same opt-in gate as profiling (the unprofiled
         // path above stays one `Option` check) and reuses the step's two
         // clock reads; with no recorder installed this is one atomic load.
@@ -627,6 +873,136 @@ impl<'a> Execution<'a> {
             Execution::trace_step(&outcome, started, ended);
         }
         Ok(outcome)
+    }
+
+    /// The step grammar: each phase contributes `PhaseStarted`, then one
+    /// `RoundCompleted` per round of a round-driven phase (or one coarse
+    /// step for a closed-form phase), then `PhaseEnded`; `Finished` comes
+    /// last and is re-returned on every later step.
+    fn step(&mut self) -> Result<StepOutcome, ElectionError> {
+        if let Some(report) = &self.done {
+            return Ok(StepOutcome::Finished((**report).clone()));
+        }
+        let Some(phase) = self.phases.get_mut(self.next) else {
+            let report = self.report();
+            self.done = Some(Box::new(report.clone()));
+            return Ok(StepOutcome::Finished(report));
+        };
+        if !self.active {
+            self.active = true;
+            return Ok(StepOutcome::PhaseStarted {
+                phase: phase.name(),
+            });
+        }
+        let report = match phase {
+            Phase::ClosedForm { name, .. } => PhaseReport {
+                name: name.to_string(),
+                rounds: self
+                    .contender
+                    .closed_form(name, &self.shape, self.outcome.as_ref()),
+                activations: 0,
+                moves: 0,
+            },
+            Phase::Rounds(rounds) => {
+                let runner = rounds
+                    .runner
+                    .as_mut()
+                    .expect("a running round-driven phase holds its runner");
+                if runner.is_empty() {
+                    // Only a caller-side perturbation can empty the system
+                    // (the initial configuration was checked non-empty).
+                    return Err(ElectionError::Run(RunError::EmptySystem));
+                }
+                if !runner.is_complete() {
+                    if runner.stats().rounds >= rounds.budget {
+                        return Err(if rounds.stalls {
+                            ElectionError::Stuck {
+                                after_rounds: rounds.budget,
+                            }
+                        } else {
+                            ElectionError::Run(RunError::RoundLimitExceeded {
+                                limit: rounds.budget,
+                            })
+                        });
+                    }
+                    return Ok(StepOutcome::RoundCompleted {
+                        phase: rounds.name,
+                        rounds: runner.step(),
+                    });
+                }
+                // A fault may have removed the leader. The phase then stays
+                // open, so every later step answers the same error and the
+                // status and snapshot still read the live system.
+                let outcome = runner.outcome().ok_or_else(|| ElectionError::NoLeader {
+                    after_rounds: runner.stats().rounds,
+                })?;
+                rounds.runner = None;
+                let report = PhaseReport {
+                    name: rounds.name.to_string(),
+                    rounds: outcome.stats.rounds,
+                    activations: outcome.stats.activations,
+                    moves: outcome.stats.moves(),
+                };
+                self.outcome = Some(outcome);
+                report
+            }
+        };
+        self.reports.push(report.clone());
+        self.next += 1;
+        self.active = false;
+        Ok(StepOutcome::PhaseEnded { report })
+    }
+
+    /// The final report: the totals and the round-driven phase's outcome,
+    /// completed by the contender.
+    fn report(&mut self) -> RunReport {
+        let n = self.shape.len();
+        let (leader, (leaders, followers, undecided), final_positions, final_connected, stats) =
+            match &self.outcome {
+                Some(outcome) => (
+                    outcome.leader_point,
+                    outcome.status_counts,
+                    outcome.final_positions.clone(),
+                    outcome.stats.final_connected == Some(true),
+                    outcome.stats,
+                ),
+                None => (
+                    Point::ORIGIN,
+                    (0, 0, 0),
+                    self.shape.iter().collect(),
+                    true,
+                    RunStats::default(),
+                ),
+            };
+        let mut report = RunReport {
+            algorithm: self.algorithm.to_string(),
+            scheduler: self.scheduler.to_string(),
+            n,
+            leader,
+            leaders,
+            followers,
+            undecided,
+            total_rounds: self.reports.iter().map(|p| p.rounds).sum(),
+            activations: self.reports.iter().map(|p| p.activations).sum(),
+            moves: self.reports.iter().map(|p| p.moves).sum(),
+            phases: std::mem::take(&mut self.reports),
+            peak_memory_bits: self
+                .phases
+                .iter()
+                .map(Phase::memory_bits)
+                .max()
+                .unwrap_or(0),
+            connectivity: ConnectivityReport {
+                tracked: self.track_connectivity,
+                ever_disconnected: stats.ever_disconnected,
+                disconnected_rounds: stats.disconnected_rounds,
+            },
+            final_connected,
+            final_positions,
+            profile: Vec::new(),
+        };
+        self.contender.finish(&mut report, &self.shape);
+        report
     }
 
     /// Records one profiled step on the trace timeline: rounds and the
@@ -649,22 +1025,67 @@ impl<'a> Execution<'a> {
         }
     }
 
+    /// The running round-driven phase and its runner, while the run is
+    /// inside one.
+    fn running(&self) -> Option<(&Rounds<'a>, &(dyn LiveRunner + 'a))> {
+        match self.phases.get(self.next) {
+            Some(Phase::Rounds(rounds)) if self.active => Some((rounds, rounds.runner.as_deref()?)),
+            _ => None,
+        }
+    }
+
     /// The current status snapshot: phase, round counters, decided and
     /// undecided particle counts, and what the next step will do. Costs a
     /// pass over the live particles (the decision tallies); per-round
     /// pollers that only need the upcoming round should use
     /// [`Execution::next_round`].
     pub fn status(&self) -> ExecutionStatus {
-        self.driver.status()
+        let running = self.running();
+        let rounds_in_phase = running.map_or(0, |(_, runner)| runner.stats().rounds);
+        let n = self.shape.len();
+        let (decided, undecided) = match (running, &self.outcome) {
+            (Some((_, runner)), _) => runner.tally(),
+            (None, Some(outcome)) => {
+                let (leaders, followers, undecided) = outcome.status_counts;
+                (leaders + followers, undecided)
+            }
+            // Closed-form contenders decide everyone at their last phase.
+            (None, None) if self.next == self.phases.len() => (n, 0),
+            (None, None) => (0, n),
+        };
+        // Once finished, the phase reports have moved into the final
+        // report; read the totals from there.
+        let completed = match &self.done {
+            Some(report) => report.total_rounds,
+            None => self.reports.iter().map(|p| p.rounds).sum(),
+        };
+        ExecutionStatus {
+            algorithm: self.algorithm,
+            phase: self
+                .phases
+                .get(self.next)
+                .filter(|_| self.active)
+                .map(Phase::name),
+            rounds_in_phase,
+            total_rounds: completed + rounds_in_phase,
+            decided,
+            undecided,
+            next_round: self.next_round().map(|(_, round)| round),
+            finished: self.done.is_some(),
+        }
     }
 
     /// The upcoming round of the active round-driven phase, with its phase
     /// name — the `O(1)` hook fault drivers poll every round:
     /// `Some((phase, r))` iff the next [`Execution::step_round`] will
     /// execute round `r` (equivalently, `status()`'s `phase` zipped with
-    /// its `next_round`).
+    /// its `next_round`). `None` at phase boundaries, during closed-form
+    /// phases, and once the phase's algorithm has completed or exhausted
+    /// its budget.
     pub fn next_round(&self) -> Option<(&'static str, u64)> {
-        self.driver.next_round()
+        let (rounds, runner) = self.running()?;
+        let done = runner.stats().rounds;
+        (!runner.is_complete() && done < rounds.budget).then_some((rounds.name, done))
     }
 
     /// Mutable access to the live particle system, available between steps
@@ -673,25 +1094,101 @@ impl<'a> Execution<'a> {
     /// round; finish with [`SystemControl::reinitialize`] so the algorithm
     /// restarts cleanly on the perturbed configuration.
     pub fn system(&mut self) -> Option<Box<dyn SystemControl + '_>> {
-        self.driver.control()
+        match self.phases.get_mut(self.next) {
+            Some(Phase::Rounds(rounds)) if self.active => {
+                rounds.runner.as_mut().map(|runner| runner.control())
+            }
+            _ => None,
+        }
     }
 
-    /// A portable snapshot of the execution's complete mid-run state, or
-    /// `None` when the underlying driver has no native snapshot support
-    /// (see [`ExecutionDriver::snapshot`]).
+    /// The execution's side of a native snapshot.
+    fn driver_state(&self) -> DriverState {
+        let state = match self.phases.get(self.next) {
+            _ if self.done.is_some() => "done".to_string(),
+            None => "finish".to_string(),
+            Some(phase) if self.active => format!("run-{}", phase.name()),
+            Some(phase) => format!("start-{}", phase.name()),
+        };
+        DriverState {
+            state,
+            reports: self.reports.clone(),
+            rounds: self.outcome.clone(),
+            done: self.done.as_deref().cloned(),
+            runner: self.running().map(|(_, runner)| runner.snapshot()),
+        }
+    }
+
+    /// A portable snapshot of the execution's complete mid-run state, as a
+    /// serde value tree — the substrate of *re-baselined* checkpoints,
+    /// whose replay cost is bounded by the snapshot age instead of the
+    /// session age. `None` when the contender has no native snapshot
+    /// support (see [`Contender::snapshot`]); callers then fall back to
+    /// replaying from step zero.
     pub fn snapshot(&self) -> Option<serde::Value> {
-        self.driver.snapshot()
+        self.contender.snapshot(&|| self.driver_state())
     }
 
     /// Restores a snapshot captured by [`Execution::snapshot`] into this
-    /// (freshly started, identically configured) execution.
+    /// (freshly started, identically configured) execution. After a
+    /// successful restore it continues exactly as the snapshotted one
+    /// would have — byte-identically, by the same determinism contract as
+    /// replay.
     ///
     /// # Errors
     ///
-    /// See [`ExecutionDriver::restore_snapshot`]; on error the execution
-    /// should be discarded in favour of a full replay.
+    /// Malformed or mismatched snapshots are rejected; the execution
+    /// should then be discarded in favour of a full replay.
     pub fn restore_snapshot(&mut self, snapshot: &serde::Value) -> Result<(), String> {
-        self.driver.restore_snapshot(snapshot)
+        let state = self.contender.restore(snapshot)?;
+        let (next, active) = match state.state.as_str() {
+            "finish" | "done" => (self.phases.len(), false),
+            tag => {
+                let (active, name) = match tag.split_once('-') {
+                    Some(("run", name)) => (true, name),
+                    Some(("start", name)) => (false, name),
+                    _ => return Err(format!("unknown snapshot state `{tag}`")),
+                };
+                let next = self
+                    .phases
+                    .iter()
+                    .position(|phase| phase.name() == name)
+                    .ok_or_else(|| format!("unknown snapshot state `{tag}`"))?;
+                (next, active)
+            }
+        };
+        if state.state == "done" {
+            let report = state
+                .done
+                .ok_or("`done` snapshot carries no final report")?;
+            self.done = Some(Box::new(report));
+        }
+        for (index, phase) in self.phases.iter_mut().enumerate() {
+            let Phase::Rounds(rounds) = phase else {
+                continue;
+            };
+            if index < next {
+                // The live run dropped its runner when the phase ended.
+                rounds.runner = None;
+            } else if index == next && active {
+                let runner = state
+                    .runner
+                    .as_ref()
+                    .ok_or_else(|| format!("`{}` snapshot carries no runner state", state.state))?;
+                rounds
+                    .runner
+                    .as_mut()
+                    .ok_or("a freshly started execution holds its runner")?
+                    .restore(runner)?;
+            }
+            // Before the phase, the fresh runner is exactly the
+            // snapshotted one (no rounds have run), so keep it.
+        }
+        self.next = next;
+        self.active = active;
+        self.reports = state.reports;
+        self.outcome = state.rounds;
+        Ok(())
     }
 
     /// Runs the remaining steps to completion and returns the report.
@@ -711,15 +1208,22 @@ impl<'a> Execution<'a> {
 /// A leader-election algorithm runnable through the unified API.
 ///
 /// Implementations exist for the paper pipeline ([`PaperPipeline`]) and for
-/// the three Table 1 baselines (in `pm-baselines`); experiments iterate over
+/// the four Table 1 contenders (in `pm-baselines`); experiments iterate over
 /// `&[&dyn LeaderElection]` instead of hard-coding per-algorithm drivers.
 ///
-/// The one required method is [`LeaderElection::start`], which begins a
-/// resumable [`Execution`]; `elect` is a thin default driver over the same
-/// handle.
+/// A contender writes its [`LeaderElection::name`] and one constructor,
+/// [`LeaderElection::plan`]; `start`, `start_owned` and `elect` are
+/// provided over the one [`Execution`] that walks every plan.
 pub trait LeaderElection {
     /// A short stable identifier used in tables and reports.
     fn name(&self) -> &'static str;
+
+    /// Declares one run on `shape` (already checked to be a permitted
+    /// initial configuration): its phases in order — closed-form ones, and
+    /// a round-driven one whose [`Rounds`] runner steps under `scheduler` —
+    /// and its per-run [`Contender`] state.
+    fn plan<'a>(&self, shape: &Shape, scheduler: BoxedScheduler<'a>, opts: &RunOptions)
+        -> Plan<'a>;
 
     /// Starts the election on `shape` under `scheduler`, returning the
     /// [`Execution`] handle positioned before the first phase. The handle
@@ -735,7 +1239,9 @@ pub trait LeaderElection {
         shape: &'a Shape,
         scheduler: &'a mut (dyn Scheduler + Send),
         opts: &RunOptions,
-    ) -> Result<Execution<'a>, ElectionError>;
+    ) -> Result<Execution<'a>, ElectionError> {
+        Execution::start(self, Cow::Borrowed(shape), Box::new(scheduler), opts)
+    }
 
     /// Like [`LeaderElection::start`], but the returned [`Execution`] *owns*
     /// its shape and scheduler instead of borrowing them — the handle the
@@ -750,7 +1256,9 @@ pub trait LeaderElection {
         shape: &Shape,
         scheduler: Box<dyn Scheduler + Send>,
         opts: &RunOptions,
-    ) -> Result<Execution<'static>, ElectionError>;
+    ) -> Result<Execution<'static>, ElectionError> {
+        Execution::start(self, Cow::Owned(shape.clone()), scheduler, opts)
+    }
 
     /// Runs the election on `shape` under `scheduler` with the given
     /// options.
@@ -761,7 +1269,8 @@ pub trait LeaderElection {
     /// disconnected shapes; [`ElectionError::Stuck`] when the algorithm
     /// cannot make progress on the workload (e.g. erosion with holes);
     /// [`ElectionError::Run`] for exhausted budgets of algorithms that must
-    /// terminate.
+    /// terminate; [`ElectionError::NoLeader`] when a caller-side fault
+    /// removed the leader before the round-driven phase ended.
     fn elect(
         &self,
         shape: &Shape,
@@ -773,12 +1282,12 @@ pub trait LeaderElection {
 }
 
 /// Rejects empty and disconnected initial configurations — every
-/// implementation shares the paper's permitted-initial-configuration
+/// contender shares the paper's permitted-initial-configuration
 /// precondition.
 ///
 /// The shape's analysis is built first: every contender's particle system
 /// reads it next, and the connectivity check then runs on its index.
-pub fn check_initial_configuration(shape: &Shape) -> Result<(), ElectionError> {
+fn check_initial_configuration(shape: &Shape) -> Result<(), ElectionError> {
     if shape.is_empty() {
         return Err(ElectionError::InvalidInitialConfiguration("empty shape"));
     }
@@ -821,28 +1330,27 @@ pub const COLLECT_MEMORY_BITS: u64 = 32;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PaperPipeline;
 
-/// The pipeline execution's position in its phase sequence. Closed-form
-/// phases (OBD, Collect) have a single `Run*` state whose step simulates
-/// the whole phase; DLE's `RunDle` state is re-entered once per round.
-enum PipelineState {
-    StartObd,
-    RunObd,
-    StartDle,
-    RunDle,
-    StartCollect,
-    RunCollect,
-    Finish,
-    Done(Box<RunReport>),
+impl RoundDriven for DleAlgorithm {
+    fn status(memory: &DleMemory) -> Status {
+        memory.status
+    }
 }
 
-/// The serialized form of a [`PipelineExecution`] mid-run: everything that
-/// cannot be rebuilt by re-starting the pipeline on the same spec. The
-/// runner snapshot is present exactly in the `run-dle` state (before DLE
-/// the fresh runner *is* the restored runner; after DLE it has been
-/// consumed into [`DleOutcome`]).
+/// The pipeline's per-run state: whether OBD ran, and Collect's outcome.
+#[derive(Default)]
+struct Pipeline {
+    obd_ran: bool,
+    collect: Option<CollectOutcome>,
+}
+
+/// The serialized form of a pipeline run mid-way: everything that cannot
+/// be rebuilt by re-starting the pipeline on the same spec. The runner
+/// snapshot is present exactly in the `run-dle` state (before DLE the fresh
+/// runner *is* the restored runner; after DLE it has been consumed into
+/// [`DleOutcome`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct PipelineSnapshot {
-    /// The state-machine position, as a stable string tag.
+    /// The position in the phase sequence (see [`DriverState::state`]).
     state: String,
     reports: Vec<PhaseReport>,
     obd_ran: bool,
@@ -850,356 +1358,58 @@ struct PipelineSnapshot {
     collect: Option<CollectOutcome>,
     /// The final report, present exactly in the `done` state.
     done: Option<RunReport>,
-    runner: Option<RunnerSnapshot<DleMemory>>,
+    runner: Option<serde::Value>,
 }
 
-/// All in-flight state of one paper-pipeline run: the resumable state
-/// machine behind [`PaperPipeline`]'s [`LeaderElection::start`]. Generic
-/// over the scheduler it owns, so the same machine backs borrowing
-/// executions (`S = &mut dyn Scheduler`) and owned, `'static` ones
-/// (`S = Box<dyn Scheduler + Send>`, shape cloned into the `Cow`).
-struct PipelineExecution<'a, S: Scheduler> {
-    opts: RunOptions,
-    scheduler_name: &'static str,
-    shape: Cow<'a, Shape>,
-    /// Per-phase statistics of completed phases, built exactly once: the
-    /// same structs surface in [`StepOutcome::PhaseEnded`] and in the final
-    /// [`RunReport::phases`], so the two can never diverge.
-    reports: Vec<PhaseReport>,
-    obd_ran: bool,
-    /// The live round-driven phase; consumed when DLE ends.
-    runner: Option<Runner<DleAlgorithm, S>>,
-    budget: u64,
-    dle: Option<DleOutcome>,
-    collect: Option<CollectOutcome>,
-    state: PipelineState,
-}
-
-impl<'a, S: Scheduler> PipelineExecution<'a, S> {
-    fn start(
-        shape: Cow<'a, Shape>,
-        scheduler: S,
-        opts: &RunOptions,
-    ) -> Result<PipelineExecution<'a, S>, ElectionError> {
-        check_initial_configuration(&shape)?;
-        let scheduler_name = scheduler.name();
-        let mut runner = {
-            let _span = trace::span("start", "start:system");
-            let system =
-                ParticleSystem::from_shape_with_backend(&shape, &DleAlgorithm, opts.occupancy);
-            Runner::new(system, DleAlgorithm, scheduler)
-        };
-        runner.track_connectivity = opts.track_connectivity;
-        let budget = opts
-            .round_budget
-            .unwrap_or_else(|| default_round_budget(&shape));
-        let state = if opts.assume_outer_boundary_known {
-            PipelineState::StartDle
-        } else {
-            PipelineState::StartObd
-        };
-        Ok(PipelineExecution {
-            opts: *opts,
-            scheduler_name,
-            shape,
-            reports: Vec::new(),
-            obd_ran: false,
-            runner: Some(runner),
-            budget,
-            dle: None,
-            collect: None,
-            state,
-        })
-    }
-
-    /// Ends a phase: records its report and hands it to the step outcome.
-    fn end_phase(&mut self, report: PhaseReport) -> StepOutcome {
-        self.reports.push(report.clone());
-        StepOutcome::PhaseEnded { report }
-    }
-
-    /// `(decided, undecided)` counts of the current execution point.
-    fn counts(&self) -> (usize, usize) {
-        if let Some(dle) = &self.dle {
-            let (leaders, followers, undecided) = dle.status_counts;
-            return (leaders + followers, undecided);
+impl Contender for Pipeline {
+    fn closed_form(&mut self, phase: &'static str, shape: &Shape, dle: Option<&DleOutcome>) -> u64 {
+        if phase == phase::OBD {
+            // Its output is exactly the `outer[0..5]` input DLE's
+            // initializer consumes.
+            self.obd_ran = true;
+            return run_obd(shape).rounds;
         }
-        if let Some(runner) = &self.runner {
-            if matches!(self.state, PipelineState::RunDle) {
-                return count_decisions(runner.system().iter().map(|(_, p)| p.memory().status));
-            }
-        }
-        (0, self.shape.len())
-    }
-}
-
-impl<S: Scheduler> ExecutionDriver for PipelineExecution<'_, S> {
-    fn step(&mut self) -> Result<StepOutcome, ElectionError> {
-        match &mut self.state {
-            PipelineState::StartObd => {
-                self.state = PipelineState::RunObd;
-                Ok(StepOutcome::PhaseStarted { phase: phase::OBD })
-            }
-            PipelineState::RunObd => {
-                // Closed-form simulation: the whole phase is one coarse
-                // step. Its output is exactly the `outer[0..5]` input DLE's
-                // initializer consumes.
-                let obd = run_obd(&self.shape);
-                self.obd_ran = true;
-                self.state = PipelineState::StartDle;
-                Ok(self.end_phase(PhaseReport {
-                    name: phase::OBD.to_string(),
-                    rounds: obd.rounds,
-                    activations: 0,
-                    moves: 0,
-                }))
-            }
-            PipelineState::StartDle => {
-                self.state = PipelineState::RunDle;
-                Ok(StepOutcome::PhaseStarted { phase: phase::DLE })
-            }
-            PipelineState::RunDle => {
-                let runner = self.runner.as_mut().expect("RunDle state holds a runner");
-                if runner.system().is_empty() {
-                    // Only a caller-side perturbation can empty the system
-                    // (the initial configuration was checked non-empty).
-                    return Err(ElectionError::Run(RunError::EmptySystem));
-                }
-                if runner.is_complete() {
-                    let mut runner = self.runner.take().expect("checked above");
-                    let stats = runner.finalize();
-                    let dle = DleOutcome::from_run(stats, runner.into_system());
-                    let report = PhaseReport {
-                        name: phase::DLE.to_string(),
-                        rounds: stats.rounds,
-                        activations: stats.activations,
-                        moves: stats.moves(),
-                    };
-                    self.dle = Some(dle);
-                    self.state = if self.opts.reconnect {
-                        PipelineState::StartCollect
-                    } else {
-                        PipelineState::Finish
-                    };
-                    return Ok(self.end_phase(report));
-                }
-                if runner.stats().rounds >= self.budget {
-                    return Err(ElectionError::Run(RunError::RoundLimitExceeded {
-                        limit: self.budget,
-                    }));
-                }
-                let stats = runner.step();
-                Ok(StepOutcome::RoundCompleted {
-                    phase: phase::DLE,
-                    rounds: stats.rounds,
-                })
-            }
-            PipelineState::StartCollect => {
-                self.state = PipelineState::RunCollect;
-                Ok(StepOutcome::PhaseStarted {
-                    phase: phase::COLLECT,
-                })
-            }
-            PipelineState::RunCollect => {
-                let dle = self.dle.as_ref().expect("Collect runs after DLE");
-                let mut sim = CollectSimulator::new(dle.leader_point, &dle.final_positions);
-                let collect = sim.run();
-                let report = PhaseReport {
-                    name: phase::COLLECT.to_string(),
-                    rounds: collect.rounds,
-                    activations: 0,
-                    moves: 0,
-                };
-                self.collect = Some(collect);
-                self.state = PipelineState::Finish;
-                Ok(self.end_phase(report))
-            }
-            PipelineState::Finish => {
-                let dle = self.dle.as_ref().expect("the pipeline always runs DLE");
-
-                let mut peak_memory_bits = DLE_MEMORY_BITS;
-                if self.obd_ran {
-                    peak_memory_bits = peak_memory_bits.max(OBD_MEMORY_BITS);
-                }
-                if self.collect.is_some() {
-                    peak_memory_bits = peak_memory_bits.max(COLLECT_MEMORY_BITS);
-                }
-
-                let final_positions = self
-                    .collect
-                    .as_ref()
-                    .map(|c| c.final_positions.clone())
-                    .unwrap_or_else(|| dle.final_positions.clone());
-                let final_connected =
-                    Shape::from_points(final_positions.iter().copied()).is_connected();
-
-                let report = RunReport {
-                    algorithm: "dle+collect".to_string(),
-                    scheduler: self.scheduler_name.to_string(),
-                    n: self.shape.len(),
-                    leader: dle.leader_point,
-                    leaders: dle.status_counts.0,
-                    followers: dle.status_counts.1,
-                    undecided: dle.status_counts.2,
-                    total_rounds: self.reports.iter().map(|p| p.rounds).sum(),
-                    activations: self.reports.iter().map(|p| p.activations).sum(),
-                    moves: self.reports.iter().map(|p| p.moves).sum(),
-                    phases: std::mem::take(&mut self.reports),
-                    peak_memory_bits,
-                    connectivity: ConnectivityReport {
-                        tracked: self.opts.track_connectivity,
-                        ever_disconnected: dle.stats.ever_disconnected,
-                        disconnected_rounds: dle.stats.disconnected_rounds,
-                    },
-                    final_connected,
-                    final_positions,
-                    profile: Vec::new(),
-                };
-                self.state = PipelineState::Done(Box::new(report.clone()));
-                Ok(StepOutcome::Finished(report))
-            }
-            PipelineState::Done(report) => Ok(StepOutcome::Finished((**report).clone())),
-        }
+        let dle = dle.expect("Collect runs after DLE");
+        let collect = CollectSimulator::new(dle.leader_point, &dle.final_positions).run();
+        let rounds = collect.rounds;
+        self.collect = Some(collect);
+        rounds
     }
 
-    fn status(&self) -> ExecutionStatus {
-        let (phase, rounds_in_phase, next_round) = match &self.state {
-            PipelineState::StartObd | PipelineState::StartDle => (None, 0, None),
-            PipelineState::RunObd => (Some(phase::OBD), 0, None),
-            PipelineState::RunDle => {
-                let runner = self.runner.as_ref().expect("RunDle state holds a runner");
-                let rounds = runner.stats().rounds;
-                let next = if !runner.is_complete() && rounds < self.budget {
-                    Some(rounds)
-                } else {
-                    None
-                };
-                (Some(phase::DLE), rounds, next)
-            }
-            PipelineState::StartCollect | PipelineState::Finish => (None, 0, None),
-            PipelineState::RunCollect => (Some(phase::COLLECT), 0, None),
-            PipelineState::Done(_) => (None, 0, None),
+    fn finish(&self, report: &mut RunReport, _shape: &Shape) {
+        if let Some(collect) = &self.collect {
+            report.final_positions = collect.final_positions.clone();
+        }
+        report.final_connected =
+            Shape::from_points(report.final_positions.iter().copied()).is_connected();
+    }
+
+    fn snapshot(&self, driver: &dyn Fn() -> DriverState) -> Option<serde::Value> {
+        let driver = driver();
+        let snapshot = PipelineSnapshot {
+            state: driver.state,
+            reports: driver.reports,
+            obd_ran: self.obd_ran,
+            dle: driver.rounds,
+            collect: self.collect.clone(),
+            done: driver.done,
+            runner: driver.runner,
         };
-        // Once finished, the phase reports have moved into the final
-        // RunReport; read the totals from there.
-        let completed: u64 = match &self.state {
-            PipelineState::Done(report) => report.total_rounds,
-            _ => self.reports.iter().map(|p| p.rounds).sum(),
-        };
-        let (decided, undecided) = self.counts();
-        ExecutionStatus {
-            algorithm: "dle+collect",
-            phase,
-            rounds_in_phase,
-            total_rounds: completed
-                + if phase == Some(phase::DLE) {
-                    rounds_in_phase
-                } else {
-                    0
-                },
-            decided,
-            undecided,
-            next_round,
-            finished: matches!(self.state, PipelineState::Done(_)),
-        }
+        Some(snapshot.to_value())
     }
 
-    fn next_round(&self) -> Option<(&'static str, u64)> {
-        if !matches!(self.state, PipelineState::RunDle) {
-            return None;
-        }
-        let runner = self.runner.as_ref()?;
-        let rounds = runner.stats().rounds;
-        (!runner.is_complete() && rounds < self.budget).then_some((phase::DLE, rounds))
-    }
-
-    fn control(&mut self) -> Option<Box<dyn SystemControl + '_>> {
-        if !matches!(self.state, PipelineState::RunDle) {
-            return None;
-        }
-        self.runner
-            .as_mut()
-            .map(|runner| Box::new(runner.control()) as Box<dyn SystemControl + '_>)
-    }
-
-    fn snapshot(&self) -> Option<serde::Value> {
-        let (state, done) = match &self.state {
-            PipelineState::StartObd => ("start-obd", None),
-            PipelineState::RunObd => ("run-obd", None),
-            PipelineState::StartDle => ("start-dle", None),
-            PipelineState::RunDle => ("run-dle", None),
-            PipelineState::StartCollect => ("start-collect", None),
-            PipelineState::RunCollect => ("run-collect", None),
-            PipelineState::Finish => ("finish", None),
-            PipelineState::Done(report) => ("done", Some((**report).clone())),
-        };
-        let runner = if matches!(self.state, PipelineState::RunDle) {
-            Some(
-                self.runner
-                    .as_ref()
-                    .expect("RunDle holds a runner")
-                    .snapshot(),
-            )
-        } else {
-            None
-        };
-        Some(
-            PipelineSnapshot {
-                state: state.to_string(),
-                reports: self.reports.clone(),
-                obd_ran: self.obd_ran,
-                dle: self.dle.clone(),
-                collect: self.collect.clone(),
-                done,
-                runner,
-            }
-            .to_value(),
-        )
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &serde::Value) -> Result<(), String> {
+    fn restore(&mut self, snapshot: &serde::Value) -> Result<DriverState, String> {
         let snap = PipelineSnapshot::from_value(snapshot)
             .map_err(|e| format!("malformed pipeline snapshot: {e}"))?;
-        let state = match snap.state.as_str() {
-            "start-obd" => PipelineState::StartObd,
-            "run-obd" => PipelineState::RunObd,
-            "start-dle" => PipelineState::StartDle,
-            "run-dle" => PipelineState::RunDle,
-            "start-collect" => PipelineState::StartCollect,
-            "run-collect" => PipelineState::RunCollect,
-            "finish" => PipelineState::Finish,
-            "done" => PipelineState::Done(Box::new(
-                snap.done.ok_or("`done` snapshot carries no final report")?,
-            )),
-            other => return Err(format!("unknown pipeline snapshot state `{other}`")),
-        };
-        match &state {
-            PipelineState::RunDle => {
-                let runner_snapshot = snap
-                    .runner
-                    .as_ref()
-                    .ok_or("`run-dle` snapshot carries no runner state")?;
-                self.runner
-                    .as_mut()
-                    .expect("a freshly started pipeline holds a runner")
-                    .restore_snapshot(runner_snapshot)?;
-            }
-            PipelineState::StartObd | PipelineState::RunObd | PipelineState::StartDle => {
-                // Pre-DLE: the freshly started runner is exactly the
-                // snapshotted one (no rounds have run), so keep it.
-            }
-            _ => {
-                // Post-DLE: the live run consumed its runner when the DLE
-                // phase ended.
-                self.runner = None;
-            }
-        }
-        self.reports = snap.reports;
         self.obd_ran = snap.obd_ran;
-        self.dle = snap.dle;
         self.collect = snap.collect;
-        self.state = state;
-        Ok(())
+        Ok(DriverState {
+            state: snap.state,
+            reports: snap.reports,
+            rounds: snap.dle,
+            done: snap.done,
+            runner: snap.runner,
+        })
     }
 }
 
@@ -1208,30 +1418,35 @@ impl LeaderElection for PaperPipeline {
         "dle+collect"
     }
 
-    fn start<'a>(
-        &'a self,
-        shape: &'a Shape,
-        scheduler: &'a mut (dyn Scheduler + Send),
-        opts: &RunOptions,
-    ) -> Result<Execution<'a>, ElectionError> {
-        Ok(Execution::new(PipelineExecution::start(
-            Cow::Borrowed(shape),
-            scheduler,
-            opts,
-        )?))
-    }
-
-    fn start_owned(
+    fn plan<'a>(
         &self,
         shape: &Shape,
-        scheduler: Box<dyn Scheduler + Send>,
+        scheduler: BoxedScheduler<'a>,
         opts: &RunOptions,
-    ) -> Result<Execution<'static>, ElectionError> {
-        Ok(Execution::new(PipelineExecution::start(
-            Cow::Owned(shape.clone()),
+    ) -> Plan<'a> {
+        let mut phases = Vec::with_capacity(3);
+        if !opts.assume_outer_boundary_known {
+            phases.push(Phase::ClosedForm {
+                name: phase::OBD,
+                memory_bits: OBD_MEMORY_BITS,
+            });
+        }
+        let budget = default_round_budget(shape);
+        phases.push(Phase::Rounds(Rounds::new(
+            phase::DLE,
+            DleAlgorithm,
+            shape,
             scheduler,
             opts,
-        )?))
+            budget,
+        )));
+        if opts.reconnect {
+            phases.push(Phase::ClosedForm {
+                name: phase::COLLECT,
+                memory_bits: COLLECT_MEMORY_BITS,
+            });
+        }
+        Plan::new(phases, Pipeline::default())
     }
 }
 
@@ -1643,10 +1858,8 @@ mod tests {
         let mut scheduler = SeededRandom::new(3);
         let opts = RunOptions::default();
         let mut execution = PaperPipeline.start(&shape, &mut scheduler, &opts).unwrap();
-        assert!(!execution.profiling_enabled());
         execution.enable_profiling();
         execution.enable_profiling(); // idempotent
-        assert!(execution.profiling_enabled());
         let profiled = execution.finish().unwrap();
 
         let mut scheduler = SeededRandom::new(3);

@@ -213,7 +213,9 @@ impl Algorithm for DleAlgorithm {
     }
 }
 
-/// The result of running Algorithm DLE on an initial shape.
+/// The result of running Algorithm DLE on an initial shape. An
+/// [`Execution`](crate::api::Execution) reads the outcome of every
+/// round-driven election phase, a baseline's included, into this type.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DleOutcome {
     /// Execution statistics (rounds, activations, moves, connectivity).
@@ -257,7 +259,10 @@ pub fn run_dle<S: Scheduler>(
     let mut runner = Runner::new(system, DleAlgorithm, scheduler);
     runner.track_connectivity = track_connectivity;
     let stats = runner.run(default_round_budget(shape))?;
-    Ok(DleOutcome::from_run(stats, runner.into_system()))
+    Ok(
+        DleOutcome::from_run(stats, runner.system(), |memory| memory.status)
+            .expect("DLE always elects a leader on a connected shape"),
+    )
 }
 
 /// The generous default round budget of a DLE run: far above the `O(D_A)`
@@ -269,14 +274,20 @@ pub(crate) fn default_round_budget(shape: &Shape) -> u64 {
 
 impl DleOutcome {
     /// Extracts the outcome (leader, statuses, final positions) from a
-    /// finished run.
-    pub(crate) fn from_run(stats: RunStats, system: ParticleSystem<DleMemory>) -> DleOutcome {
+    /// finished run of any round-driven election, reading each particle's
+    /// status off its memory with `status`. `None` when no particle is
+    /// leader, which only a caller-side fault can bring about.
+    pub(crate) fn from_run<M>(
+        stats: RunStats,
+        system: &ParticleSystem<M>,
+        status: impl Fn(&M) -> Status,
+    ) -> Option<DleOutcome> {
         let mut leader_point = None;
         let mut counts = (0usize, 0usize, 0usize);
         let mut final_positions = Vec::with_capacity(system.len());
         for (_, particle) in system.iter() {
             final_positions.push(particle.head());
-            match particle.memory().status {
+            match status(particle.memory()) {
                 Status::Leader => {
                     counts.0 += 1;
                     leader_point = Some(particle.head());
@@ -285,12 +296,12 @@ impl DleOutcome {
                 Status::Undecided => counts.2 += 1,
             }
         }
-        DleOutcome {
+        Some(DleOutcome {
             stats,
-            leader_point: leader_point.expect("DLE always elects a leader on a connected shape"),
+            leader_point: leader_point?,
             final_positions,
             status_counts: counts,
-        }
+        })
     }
 }
 

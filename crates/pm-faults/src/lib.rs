@@ -641,7 +641,10 @@ impl RecoveryDriver {
 /// unique leader, rerun the identical schedule under
 /// [`ResetPolicy::Reinitialize`] (a fresh scheduler from `scheduler`, so
 /// both attempts see the same activation stream) and flag
-/// [`RecoveryReport::reset_needed`].
+/// [`RecoveryReport::reset_needed`]. The errors that take the fallback
+/// include [`ElectionError::Stuck`] (erosion cannot absorb a fault without
+/// a reset) and [`ElectionError::NoLeader`] (a removal took the particle
+/// that was, or would have become, the leader).
 ///
 /// # Errors
 ///
@@ -839,6 +842,72 @@ mod tests {
         assert!(recovery.recovered, "{recovery:?}");
         assert!(recovery.reset_needed, "{recovery:?}");
         assert!(recovery.corrupted > 0);
+    }
+
+    /// Two plans that remove the elected leader on hexagon(2) under
+    /// `SeededRandom(7)`: before round 1, the pipeline's plan (seed 2)
+    /// removes 3 particles and the erosion plan (seed 0) removes 10.
+    fn leader_removals() -> [(&'static dyn LeaderElection, FaultPlan); 2] {
+        let removals = |seed, count| {
+            FaultPlan::new(seed).process(FaultProcess::once(FaultKind::Removals, 1, count))
+        };
+        [
+            (&PaperPipeline, removals(2, 3)),
+            (&ErosionLeaderElection, removals(0, 10)),
+        ]
+    }
+
+    #[test]
+    fn removing_the_leader_fails_the_run_with_no_leader() {
+        let opts = RunOptions::default();
+        for (algorithm, plan) in leader_removals() {
+            let shape = hexagon(2);
+            let name = algorithm.name();
+            let mut scheduler = SchedulerSpec::SeededRandom(7).build();
+            let execution = algorithm.start(&shape, &mut *scheduler, &opts).unwrap();
+            let error = FaultScript::new(plan.clone()).drive(execution).unwrap_err();
+            assert!(
+                matches!(error, ElectionError::NoLeader { .. }),
+                "{name}: {error}"
+            );
+
+            // The failed execution stays consistent: the same error again,
+            // and the status (and the pipeline's snapshot) still answer.
+            let mut scheduler = SchedulerSpec::SeededRandom(7).build();
+            let mut execution = algorithm.start(&shape, &mut *scheduler, &opts).unwrap();
+            let mut script = FaultScript::new(plan);
+            let again = loop {
+                script.apply_due(&mut execution);
+                if let Err(error) = execution.step_round() {
+                    break error;
+                }
+            };
+            assert_eq!(again, error, "{name}");
+            assert_eq!(execution.step_round(), Err(error), "{name}");
+            let status = execution.status();
+            assert!(!status.finished && status.next_round.is_none(), "{name}");
+            assert_eq!(
+                status.decided + status.undecided,
+                shape.len() - script.removed()
+            );
+            assert_eq!(execution.snapshot().is_some(), name == "dle+collect");
+        }
+    }
+
+    #[test]
+    fn measure_recovery_resets_when_a_fault_removes_the_leader() {
+        for (algorithm, plan) in leader_removals() {
+            let recovery = measure_recovery(
+                algorithm,
+                &hexagon(2),
+                &SchedulerSpec::SeededRandom(7),
+                &RunOptions::default(),
+                &plan,
+            )
+            .unwrap();
+            assert!(recovery.reset_needed, "{recovery:?}");
+            assert!(recovery.recovered, "{recovery:?}");
+        }
     }
 
     #[test]

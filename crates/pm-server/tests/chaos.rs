@@ -4,7 +4,7 @@
 //! either completes byte-identically after restart or is reported lost
 //! with a typed error — never silently corrupted.
 
-use pm_scenarios::{GeneratorSpec, ScenarioSpec};
+use pm_scenarios::{AlgorithmSpec, GeneratorSpec, ScenarioSpec};
 use pm_server::{Client, Request, Response, ServerProcess};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -210,6 +210,63 @@ fn connections_killed_mid_line_leave_the_server_serving() {
         other => panic!("expected Done, got {other:?}"),
     }
     server.shutdown().expect("clean shutdown");
+}
+
+/// A fault that removes the elected leader fails only its own session:
+/// `Run` answers `Failed` with the no-leader error, another client's
+/// session still runs to `Done`, the failed session still answers
+/// `Status`, and autosave, which snapshots every session, writes every
+/// checkpoint.
+#[test]
+fn a_fault_that_removes_the_leader_fails_only_its_own_session() {
+    let dir = temp_dir("no-leader");
+    let dir_arg = dir.display().to_string();
+    let server = serve(&[
+        "--tcp",
+        "127.0.0.1:0",
+        "--threads",
+        "2",
+        "--persist-dir",
+        &dir_arg,
+        "--autosave-ms",
+        "100",
+    ]);
+
+    // The pipeline loses its leader to 3 removals before round 1 (plan
+    // seed 2), erosion to 10 (plan seed 0).
+    let mut victim = server.connect().expect("connect");
+    let mut failed = Vec::new();
+    for (algorithm, seed, count) in [
+        (AlgorithmSpec::Pipeline, 2, 3),
+        (AlgorithmSpec::Erosion, 0, 10),
+    ] {
+        let mut doomed = ScenarioSpec::new("leader-removal", GeneratorSpec::Hexagon { radius: 2 });
+        doomed.algorithm = algorithm;
+        doomed.faults = serde_json::from_str(&format!(
+            r#"{{"seed":{seed},"reset":"None","processes":[{{"kind":"Removals","start":1,"period":0,"until":1,"count":{count}}}]}}"#
+        ))
+        .unwrap();
+        let session = submit(&mut victim, &doomed);
+        match victim.request(&Request::Run { session }) {
+            Ok(Response::Failed { error, .. }) => assert!(error.contains("no leader"), "{error}"),
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        failed.push(session);
+    }
+
+    let mut other = server.connect().expect("connect");
+    let healthy = ScenarioSpec::new("healthy", GeneratorSpec::Hexagon { radius: 2 });
+    let session = submit(&mut other, &healthy);
+    run_report(&mut other, session);
+    for session in failed {
+        match other.request(&Request::Status { session }) {
+            Ok(Response::Status { status, .. }) => assert!(!status.finished),
+            other => panic!("expected Status, got {other:?}"),
+        }
+    }
+    wait_for_files(&dir, 3);
+    server.shutdown().expect("clean shutdown");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// One line of 200 000 `[` would overflow the stack of a parser that
