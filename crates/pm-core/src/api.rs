@@ -1168,6 +1168,14 @@ impl<'a> Execution<'a> {
                 continue;
             };
             if index < next {
+                // Later phases read the ended phase's outcome; a snapshot
+                // without it (a hand-made checkpoint) must not restore.
+                if state.rounds.is_none() {
+                    return Err(format!(
+                        "`{}` snapshot carries no `{}` outcome",
+                        state.state, rounds.name
+                    ));
+                }
                 // The live run dropped its runner when the phase ended.
                 rounds.runner = None;
             } else if index == next && active {
@@ -1839,6 +1847,29 @@ mod tests {
         // Once the budget is gone, next_round reports no upcoming round.
         assert_eq!(execution.status().next_round, None);
         assert_eq!(execution.next_round(), None);
+    }
+
+    #[test]
+    fn snapshots_past_the_round_driven_phase_must_carry_its_outcome() {
+        let shape = hexagon(2);
+        let opts = RunOptions::default();
+        let mut scheduler = SeededRandom::new(1);
+        let mut execution = PaperPipeline.start(&shape, &mut scheduler, &opts).unwrap();
+        while execution.status().phase != Some(phase::COLLECT) {
+            execution.step_round().unwrap();
+        }
+        let mut snapshot = execution.snapshot().unwrap();
+        let serde::Value::Object(entries) = &mut snapshot else {
+            panic!("snapshots serialize to objects");
+        };
+        for (key, value) in entries.iter_mut() {
+            if key == "dle" {
+                *value = serde::Value::Null;
+            }
+        }
+        let mut scheduler = SeededRandom::new(1);
+        let mut fresh = PaperPipeline.start(&shape, &mut scheduler, &opts).unwrap();
+        assert!(fresh.restore_snapshot(&snapshot).is_err());
     }
 
     #[test]
