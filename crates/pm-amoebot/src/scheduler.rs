@@ -290,18 +290,14 @@ pub struct Runner<A: Algorithm, S: Scheduler> {
     system: ParticleSystem<A::Memory>,
     algorithm: A,
     scheduler: S,
-    /// Live (non-terminated, non-parked) particles, in creation order.
-    /// Primed on the first round and *retained* down thereafter (termination
-    /// is monotone), with woken particles merged back in id order — `O(live
-    /// + woken)` instead of `O(n)` per round.
+    /// This round's live particles: the system's ready set (not removed,
+    /// not terminated, not parked) in ascending id order, rewritten at the
+    /// start of every round by a scan of the set's words. The buffer is
+    /// reused (cleared, capacity kept) across rounds.
     live: Vec<ParticleId>,
-    live_primed: bool,
     /// The activation order buffer, reused (cleared, capacity kept) across
     /// rounds.
     order: Vec<ParticleId>,
-    /// Scratch buffers for the woken-particle merge, reused across rounds.
-    woken: Vec<ParticleId>,
-    merge_buf: Vec<ParticleId>,
     /// Cumulative statistics across all rounds stepped so far (persistent:
     /// stepping is resumable, so the counters survive between calls).
     stats: RunStats,
@@ -314,11 +310,11 @@ pub struct Runner<A: Algorithm, S: Scheduler> {
 /// A portable snapshot of a mid-run [`Runner`]: the system state, the
 /// cumulative statistics, and the scheduler's mutable state.
 ///
-/// The live list, activation-order buffer and woken scratch are *not*
-/// captured: the live list is always the ascending-id enumeration of
-/// non-terminated, non-removed, non-parked particles, so
-/// [`Runner::restore_snapshot`] simply un-primes it and the next round
-/// rebuilds the identical list.
+/// The live list and activation-order buffer are *not* captured: the live
+/// list is always the ascending-id enumeration of non-terminated,
+/// non-removed, non-parked particles, which the system's restore
+/// recomputes from the snapshot's flags, so the next round lists the
+/// identical particles.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RunnerSnapshot<M> {
     /// The particle system's mid-run state.
@@ -331,13 +327,12 @@ pub struct RunnerSnapshot<M> {
 
 /// The [`SystemControl`] view handed out by [`Runner::control`]: mutable
 /// system access paired with the algorithm (whose initializer
-/// [`SystemControl::reinitialize`] needs). Any mutation un-primes the
-/// runner's live-particle list, so the next round rebuilds it from the
+/// [`SystemControl::reinitialize`] needs). Every mutation keeps the
+/// system's ready set current, so the next round's live list reflects the
 /// perturbed configuration.
 pub struct RunnerControl<'a, A: Algorithm> {
     system: &'a mut ParticleSystem<A::Memory>,
     algorithm: &'a A,
-    live_primed: &'a mut bool,
 }
 
 impl<A: Algorithm> SystemControl for RunnerControl<'_, A> {
@@ -359,44 +354,24 @@ impl<A: Algorithm> SystemControl for RunnerControl<'_, A> {
 
     fn remove_at(&mut self, p: Point) -> bool {
         match self.system.particle_at(p) {
-            Some(id) => {
-                let removed = self.system.remove_particle(id);
-                if removed {
-                    // The configuration changed under the algorithm's feet:
-                    // rebuild the live list from scratch next round.
-                    *self.live_primed = false;
-                }
-                removed
-            }
+            Some(id) => self.system.remove_particle(id),
             None => false,
         }
     }
 
     fn add_at(&mut self, p: Point) -> bool {
-        let added = self.system.add_particle(p, self.algorithm);
-        if added {
-            *self.live_primed = false;
-        }
-        added
+        self.system.add_particle(p, self.algorithm)
     }
 
     fn corrupt_at(&mut self, p: Point, entropy: u64) -> bool {
         match self.system.particle_at(p) {
-            Some(id) => {
-                let corrupted = self.system.corrupt_particle(id, self.algorithm, entropy);
-                if corrupted {
-                    // A revoked final state must re-enter the live list.
-                    *self.live_primed = false;
-                }
-                corrupted
-            }
+            Some(id) => self.system.corrupt_particle(id, self.algorithm, entropy),
             None => false,
         }
     }
 
     fn reinitialize(&mut self) {
         self.system.reinitialize(self.algorithm);
-        *self.live_primed = false;
     }
 }
 
@@ -409,10 +384,7 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
             algorithm,
             scheduler,
             live: Vec::new(),
-            live_primed: false,
             order: Vec::new(),
-            woken: Vec::new(),
-            merge_buf: Vec::new(),
             stats: RunStats::default(),
             track_connectivity: false,
         }
@@ -456,13 +428,12 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
     /// Mutable access to the particle system between rounds, as the
     /// [`SystemControl`] mutation surface: the entry point for mid-run
     /// perturbations (remove particles, reset the survivors). Mutations
-    /// un-prime the live-particle list, so the next [`Runner::step`]
-    /// rebuilds it from the perturbed configuration.
+    /// keep the system's ready set current, so the next [`Runner::step`]
+    /// activates exactly the perturbed configuration's live particles.
     pub fn control(&mut self) -> RunnerControl<'_, A> {
         RunnerControl {
             system: &mut self.system,
             algorithm: &self.algorithm,
-            live_primed: &mut self.live_primed,
         }
     }
 
@@ -480,24 +451,30 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
 
     /// Overwrites this runner's state with a snapshot captured by
     /// [`Runner::snapshot`] of a runner built from the same initial shape,
-    /// algorithm and scheduler. The live list is un-primed, so the next
-    /// round rebuilds it — byte-identically, since the list is always the
-    /// ascending-id enumeration of active particles.
+    /// algorithm and scheduler. The system's restore recomputes its ready
+    /// set, so the next round's live list is byte-identical to the one the
+    /// snapshotted runner would have used: the ascending-id enumeration of
+    /// active particles.
     ///
     /// # Errors
     ///
     /// Rejects snapshots whose system state or scheduler state does not
-    /// match this runner; the runner is left unusable for determinism
-    /// purposes and should be discarded.
+    /// match this runner (see [`ParticleSystem::restore_snapshot`]). A
+    /// rejected snapshot leaves the runner unchanged, so the caller may
+    /// replay it from its current state instead.
     pub fn restore_snapshot(&mut self, snapshot: &RunnerSnapshot<A::Memory>) -> Result<(), String>
     where
         A::Memory: Clone,
     {
-        self.system.restore_snapshot(&snapshot.system)?;
+        let previous = self.scheduler.state();
         self.scheduler.restore_state(&snapshot.scheduler)?;
+        if let Err(error) = self.system.restore_snapshot(&snapshot.system) {
+            self.scheduler
+                .restore_state(&previous)
+                .expect("a scheduler takes back its own state");
+            return Err(error);
+        }
         self.stats = snapshot.stats;
-        self.live.clear();
-        self.live_primed = false;
         Ok(())
     }
 
@@ -548,54 +525,16 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
         Ok(self.finalize())
     }
 
-    /// Brings the live list up to date: drops terminated, removed and parked
-    /// particles, and merges woken particles back in ascending id order.
+    /// Rewrites the live list from the system's ready set, in ascending id
+    /// order.
     fn refresh_live(&mut self) {
-        if !self.live_primed {
-            self.live.clear();
-            let system = &self.system;
-            self.live.extend(
-                system
-                    .ids()
-                    .filter(|id| !system.particle(*id).is_terminated() && !system.is_parked(*id)),
-            );
-            // Queued wakes are already represented in the fresh list.
-            self.system.drain_woken(&mut self.woken);
-            self.live_primed = true;
-            return;
-        }
-        let system = &self.system;
-        self.live.retain(|id| {
-            !system.particle(*id).is_terminated()
-                && !system.is_removed(*id)
-                && !system.is_parked(*id)
-        });
-        self.system.drain_woken(&mut self.woken);
-        if self.woken.is_empty() {
-            return;
-        }
-        self.woken.sort_unstable();
-        self.woken.dedup();
-        // Merge the woken ids into the ascending live list (skipping any
-        // that are already present, or terminated/removed/re-parked since).
-        self.merge_buf.clear();
-        let mut li = 0;
-        let system = &self.system;
-        for &w in &self.woken {
-            if system.particle(w).is_terminated() || system.is_removed(w) || system.is_parked(w) {
-                continue;
-            }
-            while li < self.live.len() && self.live[li] < w {
-                self.merge_buf.push(self.live[li]);
-                li += 1;
-            }
-            if li < self.live.len() && self.live[li] == w {
-                continue;
-            }
-            self.merge_buf.push(w);
-        }
-        self.merge_buf.extend_from_slice(&self.live[li..]);
-        std::mem::swap(&mut self.live, &mut self.merge_buf);
+        self.system.ready_ids(&mut self.live);
+        debug_assert!(
+            self.live.iter().copied().eq(self.system.ids().filter(|id| {
+                !self.system.particle(*id).is_terminated() && !self.system.is_parked(*id)
+            })),
+            "the ready set must list exactly the alive, unterminated, unparked particles"
+        );
     }
 
     /// Executes a single asynchronous round and updates `stats`.
@@ -610,7 +549,6 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
             // shapes with holes, which then burn their round budget exactly
             // as without parking).
             if !self.system.all_terminated() && self.system.unpark_all() > 0 {
-                self.live_primed = false;
                 self.refresh_live();
             }
             if self.live.is_empty() {
@@ -628,10 +566,7 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
             let id = self.order[i];
             // A particle in a final state — or parked earlier this round
             // with an unchanged view since — does nothing when activated.
-            if self.system.particle(id).is_terminated()
-                || self.system.is_removed(id)
-                || self.system.is_parked(id)
-            {
+            if !self.system.is_ready(id) {
                 continue;
             }
             let mut ctx = ActivationContext::new(&mut self.system, id);

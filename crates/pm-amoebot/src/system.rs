@@ -2,7 +2,7 @@
 
 use crate::algorithm::{Algorithm, InitContext};
 use crate::particle::{Particle, ParticleId};
-use pm_grid::{Direction, GridRect, Point, Shape, DIRECTIONS};
+use pm_grid::{Direction, GridIndex, GridRect, Point, Shape, DIRECTIONS};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -41,10 +41,10 @@ impl std::error::Error for MoveError {}
 
 /// Which occupancy data structure a [`ParticleSystem`] uses.
 ///
-/// The dense backend is the default: a flat `Vec<Option<ParticleId>>` over
-/// the initial shape's (slightly expanded) bounding box gives `O(1)`
-/// neighbour probes during activations, with a hash-map overflow for the
-/// rare particle that wanders outside the box. The hashed backend is the
+/// The dense backend is the default: a flat vector of 4-byte cells over the
+/// initial shape's (slightly expanded) bounding box gives `O(1)` neighbour
+/// probes during activations, with a hash-map overflow for the rare
+/// particle that wanders outside the box. The hashed backend is the
 /// pre-0.2 `HashMap` representation, kept selectable so differential tests
 /// can prove the two produce bit-identical executions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,14 +61,81 @@ pub enum OccupancyBackend {
 /// never depends on this value.
 const DENSE_MARGIN: u32 = 2;
 
+/// How far beyond the initial shape's bounding rectangle a restored
+/// configuration may place a particle ([`ParticleSystem::restore_snapshot`],
+/// and the election outcomes restored alongside it).
+///
+/// Every contender keeps its particles inside the initial shape's area, and
+/// a snapshot taken after a fault added a particle has more slots than a
+/// fresh system, so no legitimate snapshot comes near the margin. A
+/// rejected snapshot only costs its caller a replay from the initial
+/// configuration. Without the bound, a coordinate in a client-supplied
+/// snapshot sizes later allocations (Collect's rings, connectivity grids).
+pub const RESTORE_MARGIN: u32 = 64;
+
+/// The rectangle a restored configuration of `shape` must lie in: its
+/// bounding rectangle widened by [`RESTORE_MARGIN`]; `None` for the empty
+/// shape, where no point is allowed.
+pub fn restore_bounds(shape: &Shape) -> Option<GridRect> {
+    GridRect::of_shape(shape, RESTORE_MARGIN)
+}
+
+/// Checks that restored `points` are pairwise distinct and lie in `bounds`
+/// (see [`restore_bounds`]).
+///
+/// # Errors
+///
+/// Names the first point that lies outside `bounds` or repeats.
+pub fn check_restored_points(
+    bounds: Option<GridRect>,
+    points: impl IntoIterator<Item = Point>,
+) -> Result<(), String> {
+    let mut seen = bounds.map(GridIndex::empty);
+    for p in points {
+        let Some(seen) = seen.as_mut().filter(|seen| seen.rect().in_bounds(p)) else {
+            return Err(match bounds {
+                Some(rect) => format!(
+                    "point {p} lies outside {}..={}, the initial shape's bounding \
+                     rectangle widened by {RESTORE_MARGIN}",
+                    rect.min(),
+                    rect.max()
+                ),
+                None => format!("point {p} restored into an empty initial shape"),
+            });
+        };
+        if !seen.insert(p) {
+            return Err(format!("point {p} is occupied twice"));
+        }
+    }
+    Ok(())
+}
+
+/// A dense occupancy cell holding no particle. Occupied cells hold their
+/// occupant's id, so a cell takes 4 bytes where an `Option<ParticleId>`
+/// takes 16, and `blob`-sized rectangles stay in the L1 cache.
+const VACANT: u32 = u32::MAX;
+
+/// The dense cell value of an occupant.
+///
+/// # Panics
+///
+/// Panics on ids of 2³² - 1 and above, which no system that fits in memory
+/// reaches.
+fn cell_value(id: ParticleId) -> u32 {
+    u32::try_from(id.0)
+        .ok()
+        .filter(|value| *value != VACANT)
+        .expect("particle ids fit in a dense occupancy cell")
+}
+
 /// The occupancy map: which particle (if any) occupies each grid point.
 #[derive(Clone, Debug)]
 enum Occupancy {
-    /// Flat vector over a bounded rectangle plus an overflow map for points
-    /// outside it.
+    /// Flat vector over a bounded rectangle (one [`cell_value`] or
+    /// [`VACANT`] per cell) plus an overflow map for points outside it.
     Dense {
         rect: GridRect,
-        cells: Vec<Option<ParticleId>>,
+        cells: Vec<u32>,
         overflow: HashMap<Point, ParticleId>,
         len: usize,
     },
@@ -80,7 +147,7 @@ impl Occupancy {
     fn for_shape(shape: &Shape, backend: OccupancyBackend) -> Occupancy {
         match (backend, GridRect::of_shape(shape, DENSE_MARGIN)) {
             (OccupancyBackend::Dense, Some(rect)) => Occupancy::Dense {
-                cells: vec![None; rect.cells()],
+                cells: vec![VACANT; rect.cells()],
                 rect,
                 overflow: HashMap::new(),
                 len: 0,
@@ -100,7 +167,10 @@ impl Occupancy {
                 overflow,
                 ..
             } => match rect.cell(p) {
-                Some(cell) => cells[cell],
+                Some(cell) => match cells[cell] {
+                    VACANT => None,
+                    value => Some(ParticleId(value as usize)),
+                },
                 None => overflow.get(&p).copied(),
             },
             Occupancy::Hashed(map) => map.get(&p).copied(),
@@ -118,10 +188,10 @@ impl Occupancy {
                 len,
             } => match rect.cell(p) {
                 Some(cell) => {
-                    if cells[cell].is_none() {
+                    if cells[cell] == VACANT {
                         *len += 1;
                     }
-                    cells[cell] = Some(id);
+                    cells[cell] = cell_value(id);
                 }
                 None => {
                     if overflow.insert(p, id).is_none() {
@@ -146,8 +216,8 @@ impl Occupancy {
                 len,
             } => match rect.cell(p) {
                 Some(cell) => {
-                    if cells[cell] == Some(id) {
-                        cells[cell] = None;
+                    if cells[cell] == cell_value(id) {
+                        cells[cell] = VACANT;
                         *len -= 1;
                     }
                 }
@@ -176,7 +246,7 @@ impl Occupancy {
                 len,
                 ..
             } => {
-                cells.iter_mut().for_each(|slot| *slot = None);
+                cells.fill(VACANT);
                 overflow.clear();
                 *len = 0;
             }
@@ -203,7 +273,7 @@ impl Occupancy {
             } => {
                 let mut out = Vec::with_capacity(*len);
                 for (cell, slot) in cells.iter().enumerate() {
-                    if slot.is_some() {
+                    if *slot != VACANT {
                         out.push(rect.point(cell));
                     }
                 }
@@ -366,9 +436,8 @@ pub trait SystemControl {
 /// particles' occupied points, and [`ParticleSystem::restore_snapshot`]
 /// rebuilds it on the target system's existing backend (whose dense
 /// rectangle derives from the initial shape, exactly as in the live run).
-/// The woken queue is likewise dropped: waking a particle clears its
-/// parked flag *before* queueing, so the parked flags alone determine the
-/// next round's live set.
+/// Neither is the ready set: it is a pure function of the removed,
+/// terminated and parked flags, and the restore recomputes it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SystemSnapshot<M> {
     /// Every particle slot, including removed ones (ids stay stable).
@@ -411,12 +480,18 @@ pub struct ParticleSystem<M> {
     /// `parked[i]` iff particle `i`'s last activation changed nothing and
     /// nothing in its local view has changed since, so the runner may skip it.
     parked: Vec<bool>,
-    /// Parked particles whose local view changed since they parked; drained
-    /// by the runner at the next round boundary.
-    woken: Vec<ParticleId>,
+    /// The ready set, one bit per particle slot (bit `i % 64` of word
+    /// `i / 64`): set iff particle `i` is not removed, not terminated and
+    /// not parked. Every path that changes one of those flags keeps it
+    /// current, so the runner's live list is a scan of its words and its
+    /// per-activation skip test reads one bit.
+    ready: Vec<u64>,
     /// Whether parking/waking bookkeeping is active (set by the runner from
     /// the algorithm's opt-in; all hooks are no-ops when disabled).
     parking: bool,
+    /// Where a restored snapshot may place particles
+    /// ([`restore_bounds`] of the initial shape).
+    restore_bounds: Option<GridRect>,
     expansions: u64,
     contractions: u64,
     handovers: u64,
@@ -459,19 +534,22 @@ impl<M> ParticleSystem<M> {
             particles.push(Particle::contracted(point, memory));
         }
         let n = particles.len();
-        ParticleSystem {
+        let mut system = ParticleSystem {
             particles,
             occupancy,
             removed: vec![false; n],
             alive: n,
             terminated: 0,
             parked: vec![false; n],
-            woken: Vec::new(),
+            ready: Vec::new(),
             parking: false,
+            restore_bounds: restore_bounds(shape),
             expansions: 0,
             contractions: 0,
             handovers: 0,
-        }
+        };
+        system.rebuild_ready();
+        system
     }
 
     /// Number of particles (excluding any removed by perturbations).
@@ -522,6 +600,7 @@ impl<M> ParticleSystem<M> {
         if !particle.terminated {
             particle.terminated = true;
             self.terminated += 1;
+            self.set_ready(id.0, false);
         }
     }
 
@@ -559,7 +638,7 @@ impl<M> ParticleSystem<M> {
         if *len == 0 {
             return true;
         }
-        let start = match cells.iter().position(|slot| slot.is_some()) {
+        let start = match cells.iter().position(|slot| *slot != VACANT) {
             Some(cell) => rect.point(cell),
             None => *overflow.keys().next().expect("len > 0"),
         };
@@ -571,7 +650,7 @@ impl<M> ParticleSystem<M> {
          -> bool {
             match rect.cell(p) {
                 Some(cell) => {
-                    if cells[cell].is_none() || visited_cells[cell] {
+                    if cells[cell] == VACANT || visited_cells[cell] {
                         false
                     } else {
                         visited_cells[cell] = true;
@@ -785,6 +864,7 @@ impl<M> ParticleSystem<M> {
             self.occupancy.remove_if(tail, id);
         }
         self.removed[id.0] = true;
+        self.set_ready(id.0, false);
         self.alive -= 1;
         if self.particles[id.0].terminated {
             self.terminated -= 1;
@@ -826,6 +906,10 @@ impl<M> ParticleSystem<M> {
         self.particles.push(Particle::contracted(point, memory));
         self.removed.push(false);
         self.parked.push(false);
+        if self.ready.len() * 64 < self.particles.len() {
+            self.ready.push(0);
+        }
+        self.set_ready(id.0, true);
         self.alive += 1;
         // Neighbouring particles observe the newly occupied point.
         self.wake_adjacent_to(point);
@@ -853,7 +937,8 @@ impl<M> ParticleSystem<M> {
             self.particles[id.0].terminated = false;
             self.terminated -= 1;
         }
-        self.wake(id);
+        self.parked[id.0] = false;
+        self.set_ready(id.0, true);
         self.wake_neighbors_of(id);
         true
     }
@@ -889,8 +974,8 @@ impl<M> ParticleSystem<M> {
             self.particles[i].terminated = false;
         }
         self.terminated = 0;
-        self.parked.iter_mut().for_each(|p| *p = false);
-        self.woken.clear();
+        self.parked.fill(false);
+        self.rebuild_ready();
     }
 
     /// Captures the system's mid-run state for a [`SystemSnapshot`].
@@ -911,15 +996,17 @@ impl<M> ParticleSystem<M> {
     /// Overwrites this system's state with a snapshot captured by
     /// [`ParticleSystem::snapshot`] of a system built from the *same*
     /// initial shape. The occupancy map is rebuilt in place (backend and
-    /// dense rectangle retained from the initial build), the alive and
-    /// terminated counts are recomputed, and the woken queue is cleared —
-    /// parked flags alone carry the quiescence state across the restore.
+    /// dense rectangle retained from the initial build), and the alive and
+    /// terminated counts and the ready set are recomputed from the flags.
     ///
     /// # Errors
     ///
     /// Rejects snapshots whose slot counts are inconsistent or that do not
     /// match this system's particle count (a snapshot of a different
-    /// configuration).
+    /// configuration), and configurations no execution reaches: two
+    /// particles on one point, an expanded particle whose head and tail are
+    /// not adjacent, or a point outside [`restore_bounds`] of the initial
+    /// shape. A rejected snapshot leaves the system unchanged.
     pub fn restore_snapshot(&mut self, snapshot: &SystemSnapshot<M>) -> Result<(), String>
     where
         M: Clone,
@@ -939,6 +1026,24 @@ impl<M> ParticleSystem<M> {
                 self.particles.len()
             ));
         }
+        let alive = || {
+            snapshot
+                .particles
+                .iter()
+                .zip(&snapshot.removed)
+                .filter(|(_, removed)| !**removed)
+                .map(|(particle, _)| particle)
+        };
+        check_restored_points(
+            self.restore_bounds,
+            alive().flat_map(|particle| particle.occupied_points()),
+        )?;
+        if let Some(particle) = alive().find(|p| p.is_expanded() && !p.head.is_adjacent(p.tail)) {
+            return Err(format!(
+                "snapshot particle with head {} and tail {} occupies non-adjacent points",
+                particle.head, particle.tail
+            ));
+        }
         self.occupancy.clear();
         for (i, particle) in snapshot.particles.iter().enumerate() {
             if snapshot.removed[i] {
@@ -953,7 +1058,7 @@ impl<M> ParticleSystem<M> {
         self.particles = snapshot.particles.clone();
         self.removed = snapshot.removed.clone();
         self.parked = snapshot.parked.clone();
-        self.woken.clear();
+        self.rebuild_ready();
         self.alive = self.removed.iter().filter(|r| !**r).count();
         self.terminated = self
             .particles
@@ -981,8 +1086,8 @@ impl<M> ParticleSystem<M> {
     pub(crate) fn set_parking(&mut self, enabled: bool) {
         self.parking = enabled;
         if !enabled {
-            self.parked.iter_mut().for_each(|p| *p = false);
-            self.woken.clear();
+            self.parked.fill(false);
+            self.rebuild_ready();
         }
     }
 
@@ -999,13 +1104,15 @@ impl<M> ParticleSystem<M> {
     /// Parks a particle (its last activation was a no-op).
     pub(crate) fn park(&mut self, id: ParticleId) {
         self.parked[id.0] = true;
+        self.set_ready(id.0, false);
     }
 
     /// Wakes a parked particle (its local view changed).
     pub(crate) fn wake(&mut self, id: ParticleId) {
         if self.parked[id.0] {
             self.parked[id.0] = false;
-            self.woken.push(id);
+            let ready = !self.removed[id.0] && !self.particles[id.0].terminated;
+            self.set_ready(id.0, ready);
         }
     }
 
@@ -1018,48 +1125,94 @@ impl<M> ParticleSystem<M> {
         if let Some(id) = self.occupancy.get(p) {
             self.wake(id);
         }
-        for n in p.neighbors() {
-            if let Some(id) = self.occupancy.get(n) {
-                self.wake(id);
-            }
-        }
+        self.wake_around(p, None);
     }
 
     /// Wakes every particle adjacent to `id` (its memory — part of their
-    /// local views — is about to change).
+    /// local views — is about to change): the occupants around its head
+    /// and, when expanded, its tail. Waking is idempotent, so a neighbour
+    /// adjacent to both points is simply woken twice.
     pub(crate) fn wake_neighbors_of(&mut self, id: ParticleId) {
         if !self.parking {
             return;
         }
-        let neighbors = self.neighbors_of(id);
-        for n in neighbors {
-            self.wake(n);
+        let Particle { head, tail, .. } = self.particles[id.0];
+        self.wake_around(head, Some(id));
+        if tail != head {
+            self.wake_around(tail, Some(id));
         }
     }
 
-    /// Moves the woken queue into `out` (cleared first; capacity retained).
-    pub(crate) fn drain_woken(&mut self, out: &mut Vec<ParticleId>) {
-        out.clear();
-        out.append(&mut self.woken);
+    /// Wakes the occupants of the six points around `p`, except `except`.
+    fn wake_around(&mut self, p: Point, except: Option<ParticleId>) {
+        for n in p.neighbors() {
+            if let Some(id) = self.occupancy.get(n) {
+                if Some(id) != except {
+                    self.wake(id);
+                }
+            }
+        }
     }
 
     /// Clears every parked flag (liveness fallback); returns how many
     /// particles were unparked.
     pub(crate) fn unpark_all(&mut self) -> usize {
-        let mut count = 0;
-        for p in &mut self.parked {
-            if *p {
-                *p = false;
-                count += 1;
-            }
-        }
-        self.woken.clear();
+        let count = self.parked.iter().filter(|p| **p).count();
+        self.parked.fill(false);
+        self.rebuild_ready();
         count
     }
 
+    // -- The ready set -----------------------------------------------------
+
+    /// Sets or clears particle `i`'s ready bit.
+    #[inline]
+    fn set_ready(&mut self, i: usize, ready: bool) {
+        let bit = 1u64 << (i % 64);
+        if ready {
+            self.ready[i / 64] |= bit;
+        } else {
+            self.ready[i / 64] &= !bit;
+        }
+    }
+
+    /// Recomputes the whole ready set from the removed, terminated and
+    /// parked flags.
+    fn rebuild_ready(&mut self) {
+        self.ready.clear();
+        self.ready.resize(self.particles.len().div_ceil(64), 0);
+        for i in 0..self.particles.len() {
+            if !self.removed[i] && !self.particles[i].terminated && !self.parked[i] {
+                self.set_ready(i, true);
+            }
+        }
+    }
+
+    /// Whether the particle is in the ready set: not removed, not
+    /// terminated and not parked, so activating it may change something.
+    #[inline]
+    pub(crate) fn is_ready(&self, id: ParticleId) -> bool {
+        self.ready[id.0 / 64] & (1u64 << (id.0 % 64)) != 0
+    }
+
+    /// Writes the ready set into `out` (cleared first; capacity retained),
+    /// in ascending id order.
+    pub(crate) fn ready_ids(&self, out: &mut Vec<ParticleId>) {
+        out.clear();
+        for (w, &word) in self.ready.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(ParticleId(w * 64 + bits.trailing_zeros() as usize));
+                bits &= bits - 1;
+            }
+        }
+    }
+
     /// Checks the internal occupancy invariants (every occupied point maps to
-    /// the particle occupying it, and vice versa, and the terminated count
-    /// matches the flags); used by tests and debug assertions.
+    /// the particle occupying it, and vice versa, the terminated count
+    /// matches the flags, and the ready set lists exactly the alive,
+    /// unterminated, unparked particles); used by tests and debug
+    /// assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut expected: HashMap<Point, ParticleId> = HashMap::new();
         for (i, p) in self.particles.iter().enumerate() {
@@ -1096,6 +1249,14 @@ impl<M> ParticleSystem<M> {
         }
         if self.removed.iter().filter(|r| !**r).count() != self.alive {
             return Err("alive count disagrees with removed flags".to_string());
+        }
+        let mut ready = Vec::new();
+        self.ready_ids(&mut ready);
+        if !ready.iter().copied().eq(self
+            .ids()
+            .filter(|id| !self.particles[id.0].terminated && !self.parked[id.0]))
+        {
+            return Err("ready set disagrees with the removed, terminated and parked flags".into());
         }
         Ok(())
     }
@@ -1412,6 +1573,138 @@ mod tests {
         let before = *sys.particle(id).memory();
         assert!(!sys.corrupt_particle(id, &Dummy, u64::MAX));
         assert_eq!(*sys.particle(id).memory(), before);
+    }
+
+    /// The ready set equals the brute-force enumeration of alive,
+    /// unterminated, unparked particles, bit by bit and as a list.
+    fn assert_ready_set_matches_flags<M>(sys: &ParticleSystem<M>, after: &str) {
+        let expected: Vec<ParticleId> = sys
+            .ids()
+            .filter(|id| !sys.particle(*id).is_terminated() && !sys.is_parked(*id))
+            .collect();
+        let mut ready = Vec::new();
+        sys.ready_ids(&mut ready);
+        assert_eq!(ready, expected, "ready list after {after}");
+        for i in 0..sys.particles.len() {
+            let id = ParticleId(i);
+            assert_eq!(
+                sys.is_ready(id),
+                expected.contains(&id),
+                "P{i} after {after}"
+            );
+        }
+        sys.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn the_ready_set_follows_every_mutation_path() {
+        let mut sys = ParticleSystem::from_shape(&line(64), &Corruptible);
+        sys.set_parking(true);
+        assert_ready_set_matches_flags(&sys, "construction");
+        let p = ParticleId;
+
+        for i in [3, 4, 62, 63] {
+            sys.park(p(i));
+        }
+        assert_ready_set_matches_flags(&sys, "park");
+        sys.wake(p(3));
+        assert_ready_set_matches_flags(&sys, "wake");
+        sys.wake_neighbors_of(p(5));
+        assert!(sys.is_ready(p(4)), "P5's neighbour P4 woke");
+        sys.wake_adjacent_to(sys.particle(p(63)).head());
+        assert!(sys.is_ready(p(62)) && sys.is_ready(p(63)));
+        assert_ready_set_matches_flags(&sys, "neighbour wakes");
+
+        sys.set_terminated(p(10));
+        assert_ready_set_matches_flags(&sys, "terminate");
+        assert!(sys.remove_particle(p(20)));
+        assert_ready_set_matches_flags(&sys, "remove_particle");
+        // The 65th particle opens the second word of the set.
+        assert!(sys.add_particle(Point::new(64, 0), &Corruptible));
+        assert!(sys.is_ready(p(64)));
+        assert_ready_set_matches_flags(&sys, "add_particle");
+
+        sys.set_terminated(p(30));
+        assert!(sys.corrupt_particle(p(30), &Corruptible, 7));
+        assert!(sys.is_ready(p(30)), "a revoked final state is ready again");
+        assert_ready_set_matches_flags(&sys, "corrupting a terminated particle");
+        sys.park(p(31));
+        assert!(sys.corrupt_particle(p(31), &Corruptible, 9));
+        assert!(sys.is_ready(p(31)), "a corrupted particle wakes");
+        assert_ready_set_matches_flags(&sys, "corrupting a parked particle");
+
+        sys.park(p(5));
+        sys.park(p(64));
+        assert_eq!(sys.unpark_all(), 2);
+        assert_ready_set_matches_flags(&sys, "unpark_all");
+
+        sys.park(p(7));
+        sys.set_terminated(p(8));
+        let snapshot = sys.snapshot();
+        sys.reinitialize(&Corruptible);
+        assert!(sys.is_ready(p(7)) && sys.is_ready(p(8)) && sys.is_ready(p(10)));
+        assert_ready_set_matches_flags(&sys, "reinitialize");
+        sys.restore_snapshot(&snapshot).unwrap();
+        assert!(!sys.is_ready(p(7)) && !sys.is_ready(p(8)) && !sys.is_ready(p(20)));
+        assert_ready_set_matches_flags(&sys, "restore_snapshot");
+
+        sys.set_parking(false);
+        assert!(sys.is_ready(p(7)), "parked flags are dropped with parking");
+        assert_ready_set_matches_flags(&sys, "set_parking(false)");
+    }
+
+    #[test]
+    fn restore_refuses_configurations_no_execution_reaches() {
+        let mut sys = system_on_line(3);
+        let right = sys.particle_at(Point::new(2, 0)).unwrap();
+        sys.expand(right, Direction::E).unwrap();
+        let genuine = sys.snapshot();
+        let before = sys.snapshot();
+        let crafted = |edit: &dyn Fn(&mut Vec<Particle<u32>>)| {
+            let mut snapshot = genuine.clone();
+            edit(&mut snapshot.particles);
+            snapshot
+        };
+        let stacked = crafted(&|particles| particles[1].head = particles[0].head);
+        let torn = crafted(&|particles| particles[2].tail = Point::new(0, 5));
+        // The line's bounding rectangle is (0, 0)..=(2, 0); a restored point
+        // may lie up to RESTORE_MARGIN beyond it.
+        let margin = RESTORE_MARGIN as i32;
+        let far = crafted(&|particles| {
+            particles[0].head = Point::new(-margin - 1, 0);
+            particles[0].tail = particles[0].head;
+        });
+        let extreme = crafted(&|particles| {
+            particles[2].head = Point::new(i32::MIN, i32::MAX);
+        });
+        let near = crafted(&|particles| {
+            particles[0].head = Point::new(-margin, margin);
+            particles[0].tail = particles[0].head;
+        });
+        for (name, snapshot) in [
+            ("stacked", stacked),
+            ("torn", torn),
+            ("far", far),
+            ("extreme", extreme),
+        ] {
+            let error = sys.restore_snapshot(&snapshot).unwrap_err();
+            assert!(!error.is_empty(), "{name}");
+            // Nothing changed: every point and counter is as before.
+            assert_eq!(sys.particle_positions(), particle_heads(&before), "{name}");
+            assert_eq!(sys.shape().len(), 4, "{name}");
+            sys.check_invariants().unwrap();
+        }
+        sys.restore_snapshot(&near).unwrap();
+        sys.check_invariants().unwrap();
+        // A removed slot's stale points are not part of the configuration.
+        let mut removed = crafted(&|particles| particles[1].head = particles[0].head);
+        removed.removed[1] = true;
+        sys.restore_snapshot(&removed).unwrap();
+        sys.check_invariants().unwrap();
+    }
+
+    fn particle_heads(snapshot: &SystemSnapshot<u32>) -> Vec<Point> {
+        snapshot.particles.iter().map(|p| p.head).collect()
     }
 
     #[test]

@@ -85,7 +85,7 @@ use crate::obd::run_obd;
 use pm_amoebot::algorithm::Algorithm;
 use pm_amoebot::scheduler::{RunError, Runner, RunnerSnapshot, Scheduler, SeededRandom};
 use pm_amoebot::stats::RunStats;
-use pm_amoebot::system::{OccupancyBackend, ParticleSystem, SystemControl};
+use pm_amoebot::system::{restore_bounds, OccupancyBackend, ParticleSystem, SystemControl};
 use pm_grid::{Point, Shape};
 use pm_telemetry::trace;
 use serde::{Deserialize, Serialize};
@@ -1137,8 +1137,14 @@ impl<'a> Execution<'a> {
     ///
     /// # Errors
     ///
-    /// Malformed or mismatched snapshots are rejected; the execution
-    /// should then be discarded in favour of a full replay.
+    /// Malformed or mismatched snapshots are rejected, and so are states
+    /// no run reaches: a round-driven phase's outcome whose positions
+    /// repeat, leave the initial shape's
+    /// [`restore_bounds`](pm_amoebot::system::restore_bounds), miss the
+    /// leader or disagree with its status counts, and a runner state the
+    /// runner refuses ([`Runner::restore_snapshot`]). A rejected snapshot
+    /// leaves the execution's phases where they were, so callers may
+    /// replay it from step zero instead.
     pub fn restore_snapshot(&mut self, snapshot: &serde::Value) -> Result<(), String> {
         let state = self.contender.restore(snapshot)?;
         let (next, active) = match state.state.as_str() {
@@ -1157,40 +1163,55 @@ impl<'a> Execution<'a> {
                 (next, active)
             }
         };
-        if state.state == "done" {
-            let report = state
-                .done
-                .ok_or("`done` snapshot carries no final report")?;
-            self.done = Some(Box::new(report));
+        let done = match state.state.as_str() {
+            "done" => Some(
+                state
+                    .done
+                    .ok_or("`done` snapshot carries no final report")?,
+            ),
+            _ => None,
+        };
+        // Later phases read the round-driven phase's outcome, and Collect
+        // sizes its work by the outcome's coordinates, so a hand-made one
+        // must hold what a run can end in.
+        if let Some(outcome) = &state.rounds {
+            outcome
+                .check_restored(restore_bounds(&self.shape))
+                .map_err(|e| format!("`{}` snapshot: {e}", state.state))?;
         }
         for (index, phase) in self.phases.iter_mut().enumerate() {
             let Phase::Rounds(rounds) = phase else {
                 continue;
             };
-            if index < next {
-                // Later phases read the ended phase's outcome; a snapshot
-                // without it (a hand-made checkpoint) must not restore.
-                if state.rounds.is_none() {
-                    return Err(format!(
-                        "`{}` snapshot carries no `{}` outcome",
-                        state.state, rounds.name
-                    ));
-                }
-                // The live run dropped its runner when the phase ended.
-                rounds.runner = None;
+            if index < next && state.rounds.is_none() {
+                return Err(format!(
+                    "`{}` snapshot carries no `{}` outcome",
+                    state.state, rounds.name
+                ));
             } else if index == next && active {
                 let runner = state
                     .runner
                     .as_ref()
                     .ok_or_else(|| format!("`{}` snapshot carries no runner state", state.state))?;
+                // The last check: a rejected runner state leaves the
+                // runner unchanged.
                 rounds
                     .runner
                     .as_mut()
                     .ok_or("a freshly started execution holds its runner")?
                     .restore(runner)?;
             }
-            // Before the phase, the fresh runner is exactly the
-            // snapshotted one (no rounds have run), so keep it.
+        }
+        for phase in &mut self.phases[..next] {
+            // The live run dropped its runner when the phase ended. Before
+            // the phase, the fresh runner is exactly the snapshotted one
+            // (no rounds have run), so it stays.
+            if let Phase::Rounds(rounds) = phase {
+                rounds.runner = None;
+            }
+        }
+        if let Some(report) = done {
+            self.done = Some(Box::new(report));
         }
         self.next = next;
         self.active = active;
@@ -1870,6 +1891,100 @@ mod tests {
         let mut scheduler = SeededRandom::new(1);
         let mut fresh = PaperPipeline.start(&shape, &mut scheduler, &opts).unwrap();
         assert!(fresh.restore_snapshot(&snapshot).is_err());
+    }
+
+    /// The value under `key` of a snapshot object.
+    fn entry<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
+        let serde::Value::Object(entries) = value else {
+            panic!("`{key}`: not an object");
+        };
+        let (_, value) = entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("no `{key}`"));
+        value
+    }
+
+    /// Element `i` of a snapshot array.
+    fn element(value: &mut serde::Value, i: usize) -> &mut serde::Value {
+        let serde::Value::Array(items) = value else {
+            panic!("not an array");
+        };
+        &mut items[i]
+    }
+
+    #[test]
+    fn crafted_snapshots_with_far_or_stacked_particles_are_refused() {
+        let shape = hexagon(3);
+        let opts = RunOptions::default();
+        let start = || {
+            PaperPipeline
+                .start_owned(&shape, Box::new(SeededRandom::new(1)), &opts)
+                .unwrap()
+        };
+        let reference = PaperPipeline
+            .elect(&shape, &mut SeededRandom::new(1), &opts)
+            .unwrap();
+        let far = Point::new(1_000_000_000, 0).to_value();
+        let mut execution = start();
+        while execution.next_round() != Some((phase::DLE, 1)) {
+            execution.step_round().unwrap();
+        }
+        let in_dle = execution.snapshot().unwrap();
+        let dle_ended = loop {
+            if let StepOutcome::PhaseEnded { .. } = execution.step_round().unwrap() {
+                break execution.snapshot().unwrap();
+            }
+        };
+
+        // A `run-dle` runner whose particle 0 is far away, decided and
+        // terminated: before the check, Collect later built a ring of
+        // radius ~10⁹ and the process aborted on the allocation.
+        let mut far_particle = in_dle.clone();
+        let particle = element(
+            entry(
+                entry(entry(&mut far_particle, "runner"), "system"),
+                "particles",
+            ),
+            0,
+        );
+        *entry(particle, "head") = far.clone();
+        *entry(particle, "tail") = far.clone();
+        *entry(entry(particle, "memory"), "status") = Status::Follower.to_value();
+        *entry(particle, "terminated") = serde::Value::Bool(true);
+        // Particle 1 stacked on particle 0's point.
+        let mut stacked = in_dle.clone();
+        let particles = entry(entry(entry(&mut stacked, "runner"), "system"), "particles");
+        let head = entry(element(particles, 0), "head").clone();
+        *entry(element(particles, 1), "head") = head.clone();
+        *entry(element(particles, 1), "tail") = head;
+        // A `start-collect` DLE outcome with one far final position.
+        let mut far_position = dle_ended.clone();
+        *element(entry(entry(&mut far_position, "dle"), "final_positions"), 1) = far;
+        // The same outcome missing a position its status counts include.
+        let mut short = dle_ended.clone();
+        let serde::Value::Array(positions) = entry(entry(&mut short, "dle"), "final_positions")
+        else {
+            panic!("positions serialize to an array");
+        };
+        positions.pop();
+
+        for (name, crafted) in [
+            ("far particle", far_particle),
+            ("stacked particles", stacked),
+            ("far DLE position", far_position),
+            ("short DLE outcome", short),
+        ] {
+            let mut fresh = start();
+            let refused = fresh.restore_snapshot(&crafted);
+            assert!(refused.is_err(), "{name}: restored");
+            // A refused snapshot leaves the execution where it was, so a
+            // replay from step zero reproduces the uninterrupted run.
+            assert_eq!(fresh.finish().unwrap(), reference, "{name}");
+        }
+        for genuine in [in_dle, dle_ended] {
+            start().restore_snapshot(&genuine).unwrap();
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 use pm_amoebot::algorithm::{ActivationContext, Algorithm, InitContext};
 use pm_amoebot::scheduler::{RunError, Runner, Scheduler};
 use pm_amoebot::stats::RunStats;
-use pm_amoebot::system::ParticleSystem;
-use pm_grid::{local_sce, Direction, Point, Shape, DIRECTIONS};
+use pm_amoebot::system::{check_restored_points, ParticleSystem};
+use pm_grid::{local_sce, Direction, GridRect, Point, Shape, DIRECTIONS};
 use serde::{Deserialize, Serialize};
 
 /// The leader-election output variable of a particle.
@@ -109,10 +109,10 @@ impl Algorithm for DleAlgorithm {
         // Lines 10-11: if p and all of its neighbours have decided, p
         // terminates.
         if status != Status::Undecided {
-            let all_decided = ctx
-                .neighbors()
-                .into_iter()
-                .all(|q| ctx.neighbor_memory(q).status != Status::Undecided);
+            let all_decided = DIRECTIONS.into_iter().all(|d| {
+                ctx.neighbor_at_head(d)
+                    .is_none_or(|q| ctx.neighbor_memory(q).status != Status::Undecided)
+            });
             if all_decided {
                 ctx.terminate();
             }
@@ -137,13 +137,13 @@ impl Algorithm for DleAlgorithm {
         }
 
         // Lines 17-19: p removes v from S_e by clearing the eligible flag of
-        // every neighbouring particle whose head is adjacent to v.
-        for q in ctx.neighbors() {
-            let w = ctx.neighbor_head(q);
-            if w.is_adjacent(v) {
-                let port =
-                    Direction::between(w, v).expect("adjacent points have a connecting direction");
-                ctx.neighbor_memory_mut(q).eligible[port.index()] = false;
+        // every neighbouring particle whose head is adjacent to v. The head
+        // at v + d reaches v through its port d + 3.
+        for d in DIRECTIONS {
+            if let Some(q) = ctx.neighbor_at_head(d) {
+                if ctx.neighbor_head(q) == v.neighbor(d) {
+                    ctx.neighbor_memory_mut(q).eligible[d.opposite().index()] = false;
+                }
             }
         }
 
@@ -302,6 +302,32 @@ impl DleOutcome {
             final_positions,
             status_counts: counts,
         })
+    }
+
+    /// Checks an outcome restored from a snapshot against what a run can
+    /// end in: one position per counted particle, pairwise distinct and
+    /// inside `bounds` (the initial shape's
+    /// [`restore_bounds`](pm_amoebot::system::restore_bounds)), with the
+    /// leader among them.
+    pub(crate) fn check_restored(&self, bounds: Option<GridRect>) -> Result<(), String> {
+        let (leaders, followers, undecided) = self.status_counts;
+        let counted = leaders
+            .checked_add(followers)
+            .and_then(|sum| sum.checked_add(undecided));
+        if counted != Some(self.final_positions.len()) {
+            return Err(format!(
+                "outcome counts {leaders} + {followers} + {undecided} particles but holds {} \
+                 position(s)",
+                self.final_positions.len()
+            ));
+        }
+        if !self.final_positions.contains(&self.leader_point) {
+            return Err(format!(
+                "outcome's leader point {} is not among its final positions",
+                self.leader_point
+            ));
+        }
+        check_restored_points(bounds, self.final_positions.iter().copied())
     }
 }
 

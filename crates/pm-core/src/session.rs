@@ -567,8 +567,9 @@ impl<P: Send> SessionScheduler<P> {
     }
 
     /// Restores a checkpoint onto a freshly started execution: admits it as
-    /// a parked session, replays exactly `checkpoint.steps` steps (with
-    /// `hook` fired before each, exactly as live sweeps do), and validates
+    /// a parked session, replays up to `checkpoint.steps` steps (with
+    /// `hook` fired before each, exactly as live sweeps do; no step follows
+    /// the execution's outcome), and validates
     /// that the replayed counters reproduce the checkpoint's. On validation
     /// failure the session is removed again and an error is returned.
     ///
@@ -576,7 +577,8 @@ impl<P: Send> SessionScheduler<P> {
     ///
     /// [`RestoreError::AlgorithmMismatch`] before any replay;
     /// [`RestoreError::Diverged`] when the replayed execution does not
-    /// reproduce the checkpoint's counters.
+    /// reproduce the checkpoint's counters, among them a checkpoint whose
+    /// step count runs past the execution's outcome.
     pub fn restore(
         &mut self,
         execution: Execution<'static>,
@@ -606,9 +608,11 @@ impl<P: Send> SessionScheduler<P> {
             }
         }
         // Replay ignores goals and pausing: the cursor, not policy, decides
-        // how far to go. Stepping past an error just re-surfaces it, so an
-        // errored session replays to the same errored state.
-        while slot.steps < checkpoint.steps {
+        // how far to go. It stops at the outcome, since live sweeps never
+        // step a slot past it: a checkpoint claiming more steps was not
+        // taken from a run, and the counter check below rejects it without
+        // replaying the surplus under the caller's lock.
+        while slot.steps < checkpoint.steps && slot.outcome.is_none() {
             slot.step(hook);
         }
         // A baseline taken at (or after) the finishing step leaves no replay
@@ -914,6 +918,42 @@ mod tests {
             .expect("replay validates");
         let report = fresh.outcome(id).expect("done").as_ref().expect("ok");
         assert_eq!(report, &reference_report(5));
+    }
+
+    #[test]
+    fn checkpoints_claiming_steps_past_the_outcome_are_rejected_without_replaying_them() {
+        let start = || {
+            PaperPipeline
+                .start_owned(
+                    &hexagon(2),
+                    SchedulerSpec::SeededRandom(1).build(),
+                    &RunOptions::default(),
+                )
+                .unwrap()
+        };
+        let mut live: SessionScheduler = SessionScheduler::new(64);
+        let id = live.admit(start(), ());
+        live.set_goal(id, Goal::Complete);
+        live.drive(id, &no_hook);
+        let mut checkpoint = live.checkpoint(id).unwrap();
+        assert!(checkpoint.finished);
+        assert_eq!(checkpoint.steps, 11);
+        // Before replay stopped at the outcome, each surplus step re-returned
+        // `Finished` (about 0.18 s per 10⁶ in release) and was accepted.
+        checkpoint.steps += 1_000_000;
+        let mut fresh: SessionScheduler = SessionScheduler::new(64);
+        let started = std::time::Instant::now();
+        let restored = fresh.restore(start(), (), &checkpoint, &no_hook);
+        let elapsed = started.elapsed();
+        match restored {
+            Err(RestoreError::Diverged { actual, .. }) => assert_eq!(actual.steps, 11),
+            other => panic!("expected a divergence, got {other:?}"),
+        }
+        assert!(fresh.is_empty(), "the rejected session is removed again");
+        assert!(
+            elapsed < std::time::Duration::from_millis(10),
+            "restore took {elapsed:?}"
+        );
     }
 
     #[test]

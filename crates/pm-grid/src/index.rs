@@ -78,11 +78,13 @@ impl GridRect {
         Point::new(self.min_q + self.width - 1, self.min_r + self.height - 1)
     }
 
-    /// Whether the rectangle contains the point.
+    /// Whether the rectangle contains the point. Any point may be asked
+    /// about, one restored from a client's snapshot included: the offsets
+    /// wrap instead of overflowing, and a wrapped offset is never in range.
     #[inline]
     pub fn in_bounds(&self, p: Point) -> bool {
-        let q = p.q - self.min_q;
-        let r = p.r - self.min_r;
+        let q = p.q.wrapping_sub(self.min_q);
+        let r = p.r.wrapping_sub(self.min_r);
         (q as u32) < self.width as u32 && (r as u32) < self.height as u32
     }
 

@@ -5,7 +5,7 @@
 //! with a typed error — never silently corrupted.
 
 use pm_scenarios::{AlgorithmSpec, GeneratorSpec, ScenarioSpec};
-use pm_server::{Client, Request, Response, ServerProcess};
+use pm_server::{Client, PersistDir, Request, Response, ServerProcess};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::net::TcpStream;
@@ -265,6 +265,116 @@ fn a_fault_that_removes_the_leader_fails_only_its_own_session() {
         }
     }
     wait_for_files(&dir, 3);
+    server.shutdown().expect("clean shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The value under `key` of a JSON object.
+fn entry<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
+    let serde::Value::Object(entries) = value else {
+        panic!("`{key}`: not an object");
+    };
+    let (_, value) = entries
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no `{key}`"));
+    value
+}
+
+/// A client picks every byte of a `Restore`. A baseline whose particle
+/// sits 10⁹ cells away used to be accepted, and the session's Collect
+/// then asked for 144 GB and aborted the server with every session in
+/// it; a step count inflated past the run's end was replayed step by step
+/// under the core lock. Now the baseline is refused, the checkpoint
+/// replays from step zero to the same report, the inflated count is
+/// rejected at once, and other connections keep being served.
+#[test]
+fn crafted_restore_checkpoints_neither_abort_nor_stall_the_server() {
+    let dir = temp_dir("crafted-restore");
+    let dir_arg = dir.display().to_string();
+    let server = serve(&[
+        "--tcp",
+        "127.0.0.1:0",
+        "--threads",
+        "2",
+        "--persist-dir",
+        &dir_arg,
+        "--autosave-ms",
+        "50",
+    ]);
+    let mut client = server.connect().expect("connect");
+    let spec = ScenarioSpec::new("crafted", GeneratorSpec::Hexagon { radius: 3 });
+    let session = submit(&mut client, &spec);
+    client
+        .request(&Request::Watch { session, rounds: 1 })
+        .expect("watch answers");
+    // The autosave rebaselines the session before saving it; wait for the
+    // save taken mid-DLE, after the watched round.
+    let in_dle = serde::Value::Str("run-dle".to_string());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut checkpoint = loop {
+        let saved = PersistDir::open(&dir)
+            .and_then(|persist| persist.scan())
+            .into_iter()
+            .flatten()
+            .find_map(|(_, parsed)| parsed.ok())
+            .filter(|saved| {
+                saved
+                    .execution
+                    .baseline
+                    .as_ref()
+                    .and_then(|b| b.state.get("state"))
+                    == Some(&in_dle)
+            });
+        if let Some(saved) = saved {
+            break saved;
+        }
+        assert!(Instant::now() < deadline, "no mid-DLE autosave within 20s");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let original = run_report(&mut client, session);
+
+    let baseline = checkpoint.execution.baseline.as_mut().expect("filtered");
+    let serde::Value::Array(particles) = entry(
+        entry(entry(&mut baseline.state, "runner"), "system"),
+        "particles",
+    ) else {
+        panic!("particles serialize to an array");
+    };
+    let far = serde_json::from_str::<serde::Value>(r#"{"q":1000000000,"r":0}"#).unwrap();
+    let particle = &mut particles[0];
+    *entry(particle, "head") = far.clone();
+    *entry(particle, "tail") = far;
+    *entry(entry(particle, "memory"), "status") = serde::Value::Str("Follower".to_string());
+    *entry(particle, "terminated") = serde::Value::Bool(true);
+
+    let mut restorer = server.connect().expect("connect");
+    let restored = match restorer.request(&Request::Restore {
+        checkpoint: checkpoint.clone(),
+    }) {
+        Ok(Response::Restored { session, steps, .. }) => {
+            assert_eq!(steps, checkpoint.execution.steps);
+            session
+        }
+        other => panic!("expected Restored, got {other:?}"),
+    };
+    assert_eq!(run_report(&mut restorer, restored), original);
+
+    checkpoint.execution.baseline = None;
+    checkpoint.execution.steps += 1_000_000;
+    let started = Instant::now();
+    match restorer.request(&Request::Restore { checkpoint }) {
+        Ok(Response::Error { message }) => assert!(message.contains("diverged"), "{message}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "restore took {elapsed:?}");
+
+    let mut other = server.connect().expect("connect");
+    match other.request(&Request::Sessions) {
+        Ok(Response::Sessions { sessions }) => assert_eq!(sessions.len(), 2),
+        other => panic!("expected Sessions, got {other:?}"),
+    }
     server.shutdown().expect("clean shutdown");
     std::fs::remove_dir_all(&dir).ok();
 }
