@@ -1,10 +1,11 @@
 //! Throughput benchmark: end-to-end wall-clock cost of full elections
 //! (`OBD → DLE → Collect`) on ball / annulus / random-hole shapes at
 //! n ≈ 100, 1k and 10k — per-scenario single-run latency and
-//! activations/second. The numbers go into the `benchmark`, `max_n` and
-//! `results` keys of `BENCH_results.json` at the repo root, so the
-//! performance trajectory is tracked over time; every other section of the
-//! file is left as it was. Many-run throughput is the session scheduler's
+//! activations/second. The numbers go into the `benchmark`, `max_n`,
+//! `host` and `results` keys of `BENCH_results.json` at the repo root, so
+//! the performance trajectory is tracked over time; every other section of
+//! the file is left as it was. `host` records where the numbers were
+//! taken: the processor count, the processor model and the commit. Many-run throughput is the session scheduler's
 //! to measure (the `sessions` Criterion bench).
 //!
 //! If `BENCH_baseline.json` exists at the repo root (numbers measured on an
@@ -20,6 +21,8 @@ use pm_core::api::{Election, RunReport};
 use pm_grid::Shape;
 use pm_scenarios::GeneratorSpec;
 use serde_json::Value;
+use std::path::Path;
+use std::process::Command;
 use std::time::Instant;
 
 /// One benchmark scenario: a named shape plus how many timed repetitions to
@@ -146,6 +149,41 @@ fn load_baseline(path: &std::path::Path) -> Vec<(String, f64)> {
     out
 }
 
+/// The machine and revision the numbers come from: available processors,
+/// the processor model (Linux `/proc/cpuinfo`, else the architecture) and
+/// the checked-out commit (`unknown` outside a git checkout).
+fn host(repo_root: &Path) -> Value {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|line| line.strip_prefix("model name"))
+                .and_then(|rest| rest.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        });
+    let machine = format!(
+        "{} ({} {})",
+        model.as_deref().unwrap_or("unknown processor"),
+        std::env::consts::ARCH,
+        std::env::consts::OS
+    );
+    let commit = Command::new("git")
+        .arg("-C")
+        .arg(repo_root)
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    Value::Object(vec![
+        ("nproc".to_string(), Value::UInt(nproc as u64)),
+        ("machine".to_string(), Value::Str(machine)),
+        ("commit".to_string(), Value::Str(commit)),
+    ])
+}
+
 fn main() {
     let max_n = arg_or(10_000);
     let repo_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -210,6 +248,7 @@ fn main() {
                 Value::Str("pm-bench throughput (full election, SeededRandom(7))".to_string()),
             ),
             ("max_n", Value::UInt(max_n as u64)),
+            ("host", host(&repo_root)),
             ("results", Value::Array(results)),
         ],
     )
