@@ -86,7 +86,7 @@ use pm_amoebot::algorithm::Algorithm;
 use pm_amoebot::scheduler::{RunError, Runner, RunnerSnapshot, Scheduler, SeededRandom};
 use pm_amoebot::stats::RunStats;
 use pm_amoebot::system::{restore_bounds, OccupancyBackend, ParticleSystem, SystemControl};
-use pm_grid::{Point, Shape};
+use pm_grid::{GridRect, Point, Shape};
 use pm_telemetry::trace;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -1139,8 +1139,7 @@ impl<'a> Execution<'a> {
     ///
     /// Malformed or mismatched snapshots are rejected, and so are states
     /// no run reaches: a round-driven phase's outcome whose positions
-    /// repeat, leave the initial shape's
-    /// [`restore_bounds`](pm_amoebot::system::restore_bounds), miss the
+    /// repeat, leave the initial shape's [`restore_bounds`], miss the
     /// leader or disagree with its status counts, and a runner state the
     /// runner refuses ([`Runner::restore_snapshot`]). A rejected snapshot
     /// leaves the execution's phases where they were, so callers may
@@ -1163,13 +1162,14 @@ impl<'a> Execution<'a> {
                 (next, active)
             }
         };
-        let done = match state.state.as_str() {
-            "done" => Some(
+        let done = if state.state == "done" {
+            Some(
                 state
                     .done
                     .ok_or("`done` snapshot carries no final report")?,
-            ),
-            _ => None,
+            )
+        } else {
+            None
         };
         // Later phases read the round-driven phase's outcome, and Collect
         // sizes its work by the outcome's coordinates, so a hand-made one
@@ -1202,10 +1202,10 @@ impl<'a> Execution<'a> {
                     .restore(runner)?;
             }
         }
+        // An ended phase dropped its runner in the live run. A phase not yet
+        // started keeps its fresh runner, which is exactly the snapshotted
+        // one (no rounds have run).
         for phase in &mut self.phases[..next] {
-            // The live run dropped its runner when the phase ended. Before
-            // the phase, the fresh runner is exactly the snapshotted one
-            // (no rounds have run), so it stays.
             if let Phase::Rounds(rounds) = phase {
                 rounds.runner = None;
             }
@@ -1366,10 +1366,12 @@ impl RoundDriven for DleAlgorithm {
 }
 
 /// The pipeline's per-run state: whether OBD ran, and Collect's outcome.
-#[derive(Default)]
 struct Pipeline {
     obd_ran: bool,
     collect: Option<CollectOutcome>,
+    /// Where a restored DLE outcome may place particles: the initial
+    /// shape's [`restore_bounds`].
+    restore_bounds: Option<GridRect>,
 }
 
 /// The serialized form of a pipeline run mid-way: everything that cannot
@@ -1430,8 +1432,25 @@ impl Contender for Pipeline {
     fn restore(&mut self, snapshot: &serde::Value) -> Result<DriverState, String> {
         let snap = PipelineSnapshot::from_value(snapshot)
             .map_err(|e| format!("malformed pipeline snapshot: {e}"))?;
+        // Collect's outcome is a function of DLE's. It is rebuilt from the
+        // checked DLE outcome rather than taken from the snapshot, whose
+        // coordinates would size the final connectivity check.
+        let collect = match (&snap.collect, &snap.dle) {
+            (None, _) => None,
+            (Some(_), Some(dle)) => {
+                dle.check_restored(self.restore_bounds)
+                    .map_err(|e| format!("`{}` snapshot: {e}", snap.state))?;
+                Some(CollectSimulator::new(dle.leader_point, &dle.final_positions).run())
+            }
+            (Some(_), None) => {
+                return Err(format!(
+                    "`{}` snapshot carries a Collect outcome but no DLE outcome",
+                    snap.state
+                ))
+            }
+        };
         self.obd_ran = snap.obd_ran;
-        self.collect = snap.collect;
+        self.collect = collect;
         Ok(DriverState {
             state: snap.state,
             reports: snap.reports,
@@ -1475,7 +1494,12 @@ impl LeaderElection for PaperPipeline {
                 memory_bits: COLLECT_MEMORY_BITS,
             });
         }
-        Plan::new(phases, Pipeline::default())
+        let pipeline = Pipeline {
+            obd_ran: false,
+            collect: None,
+            restore_bounds: restore_bounds(shape),
+        };
+        Plan::new(phases, pipeline)
     }
 }
 
@@ -1931,11 +1955,17 @@ mod tests {
             execution.step_round().unwrap();
         }
         let in_dle = execution.snapshot().unwrap();
-        let dle_ended = loop {
+        let mut next_phase_end = || loop {
             if let StepOutcome::PhaseEnded { .. } = execution.step_round().unwrap() {
                 break execution.snapshot().unwrap();
             }
         };
+        let dle_ended = next_phase_end();
+        let collected = next_phase_end();
+        assert_eq!(
+            collected.get("state"),
+            Some(&serde::Value::Str("finish".to_string()))
+        );
 
         // A `run-dle` runner whose particle 0 is far away, decided and
         // terminated: before the check, Collect later built a ring of
@@ -1985,6 +2015,17 @@ mod tests {
         for genuine in [in_dle, dle_ended] {
             start().restore_snapshot(&genuine).unwrap();
         }
+        // A `finish` snapshot's Collect outcome is rebuilt from its DLE
+        // outcome; before, a far point in it sized the final connectivity
+        // grid and the allocation aborted the process.
+        let mut far_collect = collected;
+        *element(
+            entry(entry(&mut far_collect, "collect"), "final_positions"),
+            1,
+        ) = Point::new(1_000_000_000, 1_000_000_000).to_value();
+        let mut fresh = start();
+        fresh.restore_snapshot(&far_collect).unwrap();
+        assert_eq!(fresh.finish().unwrap(), reference);
     }
 
     #[test]
