@@ -64,10 +64,7 @@ pub mod system;
 pub use algorithm::{ActivationContext, Algorithm, InitContext};
 pub use particle::{Particle, ParticleId};
 pub use scheduler::{
-    DoubleActivation, ReverseRoundRobin, RoundRobin, Runner, RunnerSnapshot, Scheduler,
-    SchedulerSpec, SchedulerState, SeededRandom,
+    DoubleActivation, ReverseRoundRobin, RoundRobin, Runner, Scheduler, SchedulerSpec, SeededRandom,
 };
 pub use stats::RunStats;
-pub use system::{
-    MoveError, Neighbors, OccupancyBackend, ParticleSystem, SystemControl, SystemSnapshot,
-};
+pub use system::{MoveError, Neighbors, OccupancyBackend, ParticleSystem, SystemControl};

@@ -1,7 +1,6 @@
 //! Particles: the mobile, constant-memory agents of the amoebot model.
 
 use pm_grid::Point;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A stable identifier of a particle within a [`crate::system::ParticleSystem`].
@@ -11,7 +10,7 @@ use std::fmt;
 /// the amoebot model. Algorithms must not base decisions on `ParticleId`
 /// values; they receive them only as opaque handles for neighbour reads and
 /// writes during a single activation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParticleId(pub(crate) usize);
 
 impl ParticleId {
@@ -45,7 +44,7 @@ impl fmt::Display for ParticleId {
 /// A particle: occupies its `head` point and, when expanded, also a distinct
 /// adjacent `tail` point. Carries an algorithm-specific memory `M` and a
 /// `terminated` flag (the paper's *final state*).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Particle<M> {
     pub(crate) head: Point,
     pub(crate) tail: Point,

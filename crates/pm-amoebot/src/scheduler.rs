@@ -15,27 +15,13 @@
 use crate::algorithm::{ActivationContext, Algorithm};
 use crate::particle::ParticleId;
 use crate::stats::RunStats;
-use crate::system::{ParticleSystem, SystemControl, SystemSnapshot};
+use crate::system::{ParticleSystem, SystemControl};
 use pm_grid::{Point, Shape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// The portable mutable state of a [`Scheduler`], for execution snapshots.
-///
-/// Most schedulers are pure functions of the round number and carry no
-/// state at all; [`SeededRandom`] carries its RNG words. Snapshots capture
-/// this value and [`Scheduler::restore_state`] re-injects it, so a restored
-/// execution's scheduler continues the *identical* activation-order stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulerState {
-    /// The scheduler has no mutable state.
-    Stateless,
-    /// The internal words of a seeded random generator.
-    Rng([u64; 4]),
-}
 
 /// A fair strong scheduler: produces, for every round, a sequence of
 /// activations in which each provided particle appears at least once.
@@ -62,30 +48,6 @@ pub trait Scheduler {
     fn name(&self) -> &'static str {
         "scheduler"
     }
-
-    /// Captures the scheduler's mutable state for a snapshot. Schedulers
-    /// that are pure functions of the round number (the default) report
-    /// [`SchedulerState::Stateless`].
-    fn state(&self) -> SchedulerState {
-        SchedulerState::Stateless
-    }
-
-    /// Re-injects state captured by [`Scheduler::state`], so the scheduler
-    /// continues the identical activation-order stream.
-    ///
-    /// # Errors
-    ///
-    /// Rejects state of the wrong kind for this scheduler (e.g. RNG words
-    /// handed to a stateless scheduler).
-    fn restore_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        match state {
-            SchedulerState::Stateless => Ok(()),
-            SchedulerState::Rng(_) => Err(format!(
-                "scheduler `{}` carries no RNG state to restore",
-                self.name()
-            )),
-        }
-    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for &mut S {
@@ -95,12 +57,6 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn state(&self) -> SchedulerState {
-        (**self).state()
-    }
-    fn restore_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        (**self).restore_state(state)
-    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
@@ -109,12 +65,6 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-    fn state(&self) -> SchedulerState {
-        (**self).state()
-    }
-    fn restore_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        (**self).restore_state(state)
     }
 }
 
@@ -178,20 +128,6 @@ impl Scheduler for SeededRandom {
     }
     fn name(&self) -> &'static str {
         "seeded-random"
-    }
-    fn state(&self) -> SchedulerState {
-        SchedulerState::Rng(self.rng.state())
-    }
-    fn restore_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        match state {
-            SchedulerState::Rng(words) => {
-                self.rng = StdRng::from_state(*words);
-                Ok(())
-            }
-            SchedulerState::Stateless => {
-                Err("seeded-random scheduler requires RNG state to restore".to_string())
-            }
-        }
     }
 }
 
@@ -307,24 +243,6 @@ pub struct Runner<A: Algorithm, S: Scheduler> {
     pub track_connectivity: bool,
 }
 
-/// A portable snapshot of a mid-run [`Runner`]: the system state, the
-/// cumulative statistics, and the scheduler's mutable state.
-///
-/// The live list and activation-order buffer are *not* captured: the live
-/// list is always the ascending-id enumeration of non-terminated,
-/// non-removed, non-parked particles, which the system's restore
-/// recomputes from the snapshot's flags, so the next round lists the
-/// identical particles.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RunnerSnapshot<M> {
-    /// The particle system's mid-run state.
-    pub system: SystemSnapshot<M>,
-    /// Cumulative statistics of all rounds stepped so far.
-    pub stats: RunStats,
-    /// The scheduler's mutable state.
-    pub scheduler: SchedulerState,
-}
-
 /// The [`SystemControl`] view handed out by [`Runner::control`]: mutable
 /// system access paired with the algorithm (whose initializer
 /// [`SystemControl::reinitialize`] needs). Every mutation keeps the
@@ -435,47 +353,6 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
             system: &mut self.system,
             algorithm: &self.algorithm,
         }
-    }
-
-    /// Captures the runner's mid-run state as a [`RunnerSnapshot`].
-    pub fn snapshot(&self) -> RunnerSnapshot<A::Memory>
-    where
-        A::Memory: Clone,
-    {
-        RunnerSnapshot {
-            system: self.system.snapshot(),
-            stats: self.stats,
-            scheduler: self.scheduler.state(),
-        }
-    }
-
-    /// Overwrites this runner's state with a snapshot captured by
-    /// [`Runner::snapshot`] of a runner built from the same initial shape,
-    /// algorithm and scheduler. The system's restore recomputes its ready
-    /// set, so the next round's live list is byte-identical to the one the
-    /// snapshotted runner would have used: the ascending-id enumeration of
-    /// active particles.
-    ///
-    /// # Errors
-    ///
-    /// Rejects snapshots whose system state or scheduler state does not
-    /// match this runner (see [`ParticleSystem::restore_snapshot`]). A
-    /// rejected snapshot leaves the runner unchanged, so the caller may
-    /// replay it from its current state instead.
-    pub fn restore_snapshot(&mut self, snapshot: &RunnerSnapshot<A::Memory>) -> Result<(), String>
-    where
-        A::Memory: Clone,
-    {
-        let previous = self.scheduler.state();
-        self.scheduler.restore_state(&snapshot.scheduler)?;
-        if let Err(error) = self.system.restore_snapshot(&snapshot.system) {
-            self.scheduler
-                .restore_state(&previous)
-                .expect("a scheduler takes back its own state");
-            return Err(error);
-        }
-        self.stats = snapshot.stats;
-        Ok(())
     }
 
     /// Executes exactly one asynchronous round against the persistent
@@ -829,42 +706,6 @@ mod tests {
         let resumed = runner.run(10).unwrap();
         assert_eq!(resumed, one_shot);
         assert!(runner.is_complete());
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_byte_identically() {
-        // Snapshot mid-run, finish the original, then restore the snapshot
-        // into a fresh runner and finish that: system state, RNG stream and
-        // the rebuilt live list must all survive, so the final statistics
-        // agree exactly.
-        let sys = ParticleSystem::from_shape(&hexagon(2), &CountToThree);
-        let mut original = Runner::new(sys, CountToThree, SeededRandom::new(9));
-        original.step();
-        original.step();
-        let snapshot = original.snapshot();
-        let final_stats = original.run(50).unwrap();
-
-        let sys = ParticleSystem::from_shape(&hexagon(2), &CountToThree);
-        let mut restored = Runner::new(sys, CountToThree, SeededRandom::new(9));
-        restored.restore_snapshot(&snapshot).unwrap();
-        assert_eq!(restored.stats().rounds, 2);
-        assert_eq!(restored.run(50).unwrap(), final_stats);
-    }
-
-    #[test]
-    fn snapshot_restore_rejects_mismatches() {
-        let sys = ParticleSystem::from_shape(&line(5), &CountToThree);
-        let mut source = Runner::new(sys, CountToThree, SeededRandom::new(3));
-        source.step();
-        let snapshot = source.snapshot();
-        // Different particle count: the system restore refuses.
-        let sys = ParticleSystem::from_shape(&line(7), &CountToThree);
-        let mut other_shape = Runner::new(sys, CountToThree, SeededRandom::new(3));
-        assert!(other_shape.restore_snapshot(&snapshot).is_err());
-        // Stateless scheduler handed RNG state: the scheduler restore refuses.
-        let sys = ParticleSystem::from_shape(&line(5), &CountToThree);
-        let mut other_scheduler = Runner::new(sys, CountToThree, RoundRobin);
-        assert!(other_scheduler.restore_snapshot(&snapshot).is_err());
     }
 
     #[test]

@@ -32,19 +32,6 @@ impl RunStats {
     pub fn moves(&self) -> u64 {
         self.expansions + self.contractions + self.handovers
     }
-
-    /// Merges another run's counters into this one (used when composing
-    /// algorithm phases, e.g. OBD → DLE → Collect).
-    pub fn absorb(&mut self, other: &RunStats) {
-        self.rounds += other.rounds;
-        self.activations += other.activations;
-        self.expansions += other.expansions;
-        self.contractions += other.contractions;
-        self.handovers += other.handovers;
-        self.ever_disconnected |= other.ever_disconnected;
-        self.disconnected_rounds += other.disconnected_rounds;
-        self.final_connected = other.final_connected.or(self.final_connected);
-    }
 }
 
 impl fmt::Display for RunStats {
@@ -63,30 +50,6 @@ impl fmt::Display for RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_accumulates() {
-        let mut a = RunStats {
-            rounds: 3,
-            activations: 10,
-            expansions: 2,
-            ..RunStats::default()
-        };
-        let b = RunStats {
-            rounds: 4,
-            activations: 5,
-            contractions: 1,
-            ever_disconnected: true,
-            final_connected: Some(true),
-            ..RunStats::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.rounds, 7);
-        assert_eq!(a.activations, 15);
-        assert_eq!(a.moves(), 3);
-        assert!(a.ever_disconnected);
-        assert_eq!(a.final_connected, Some(true));
-    }
 
     #[test]
     fn display_is_informative() {

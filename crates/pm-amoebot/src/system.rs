@@ -2,7 +2,7 @@
 
 use crate::algorithm::{Algorithm, InitContext};
 use crate::particle::{Particle, ParticleId};
-use pm_grid::{Direction, GridIndex, GridRect, Point, Shape, DIRECTIONS};
+use pm_grid::{Direction, GridRect, Point, Shape, DIRECTIONS};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -60,55 +60,6 @@ pub enum OccupancyBackend {
 /// Movements past the margin fall back to the overflow map, so correctness
 /// never depends on this value.
 const DENSE_MARGIN: u32 = 2;
-
-/// How far beyond the initial shape's bounding rectangle a restored
-/// configuration may place a particle ([`ParticleSystem::restore_snapshot`],
-/// and the election outcomes restored alongside it).
-///
-/// Every contender keeps its particles inside the initial shape's area, and
-/// a snapshot taken after a fault added a particle has more slots than a
-/// fresh system, so no legitimate snapshot comes near the margin. A
-/// rejected snapshot only costs its caller a replay from the initial
-/// configuration. Without the bound, a coordinate in a client-supplied
-/// snapshot sizes later allocations (Collect's rings, connectivity grids).
-pub const RESTORE_MARGIN: u32 = 64;
-
-/// The rectangle a restored configuration of `shape` must lie in: its
-/// bounding rectangle widened by [`RESTORE_MARGIN`]; `None` for the empty
-/// shape, where no point is allowed.
-pub fn restore_bounds(shape: &Shape) -> Option<GridRect> {
-    GridRect::of_shape(shape, RESTORE_MARGIN)
-}
-
-/// Checks that restored `points` are pairwise distinct and lie in `bounds`
-/// (see [`restore_bounds`]).
-///
-/// # Errors
-///
-/// Names the first point that lies outside `bounds` or repeats.
-pub fn check_restored_points(
-    bounds: Option<GridRect>,
-    points: impl IntoIterator<Item = Point>,
-) -> Result<(), String> {
-    let mut seen = bounds.map(GridIndex::empty);
-    for p in points {
-        let Some(seen) = seen.as_mut().filter(|seen| seen.rect().in_bounds(p)) else {
-            return Err(match bounds {
-                Some(rect) => format!(
-                    "point {p} lies outside {}..={}, the initial shape's bounding \
-                     rectangle widened by {RESTORE_MARGIN}",
-                    rect.min(),
-                    rect.max()
-                ),
-                None => format!("point {p} restored into an empty initial shape"),
-            });
-        };
-        if !seen.insert(p) {
-            return Err(format!("point {p} is occupied twice"));
-        }
-    }
-    Ok(())
-}
 
 /// A dense occupancy cell holding no particle. Occupied cells hold their
 /// occupant's id, so a cell takes 4 bytes where an `Option<ParticleId>`
@@ -233,24 +184,6 @@ impl Occupancy {
                     map.remove(&p);
                 }
             }
-        }
-    }
-
-    /// Empties the map (backend and dense rectangle retained), so a
-    /// snapshot restore can re-insert every occupied point from scratch.
-    fn clear(&mut self) {
-        match self {
-            Occupancy::Dense {
-                cells,
-                overflow,
-                len,
-                ..
-            } => {
-                cells.fill(VACANT);
-                overflow.clear();
-                *len = 0;
-            }
-            Occupancy::Hashed(map) => map.clear(),
         }
     }
 
@@ -429,31 +362,6 @@ pub trait SystemControl {
     fn reinitialize(&mut self);
 }
 
-/// A portable snapshot of a [`ParticleSystem`] mid-run: exactly the state
-/// that cannot be rebuilt from the initial configuration.
-///
-/// The occupancy map is *not* serialized — it is a pure function of the
-/// particles' occupied points, and [`ParticleSystem::restore_snapshot`]
-/// rebuilds it on the target system's existing backend (whose dense
-/// rectangle derives from the initial shape, exactly as in the live run).
-/// Neither is the ready set: it is a pure function of the removed,
-/// terminated and parked flags, and the restore recomputes it.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SystemSnapshot<M> {
-    /// Every particle slot, including removed ones (ids stay stable).
-    pub particles: Vec<Particle<M>>,
-    /// `removed[i]` iff slot `i` was removed by a perturbation.
-    pub removed: Vec<bool>,
-    /// Quiescence-parking flags.
-    pub parked: Vec<bool>,
-    /// Cumulative expansion count.
-    pub expansions: u64,
-    /// Cumulative contraction count.
-    pub contractions: u64,
-    /// Cumulative handover count.
-    pub handovers: u64,
-}
-
 /// The particle system: a set of particles on the triangular grid together
 /// with the occupancy map, movement operations and movement counters.
 ///
@@ -489,9 +397,6 @@ pub struct ParticleSystem<M> {
     /// Whether parking/waking bookkeeping is active (set by the runner from
     /// the algorithm's opt-in; all hooks are no-ops when disabled).
     parking: bool,
-    /// Where a restored snapshot may place particles
-    /// ([`restore_bounds`] of the initial shape).
-    restore_bounds: Option<GridRect>,
     expansions: u64,
     contractions: u64,
     handovers: u64,
@@ -543,7 +448,6 @@ impl<M> ParticleSystem<M> {
             parked: vec![false; n],
             ready: Vec::new(),
             parking: false,
-            restore_bounds: restore_bounds(shape),
             expansions: 0,
             contractions: 0,
             handovers: 0,
@@ -821,18 +725,6 @@ impl<M> ParticleSystem<M> {
         Ok(())
     }
 
-    /// Consumes the system and returns the particles (removed slots
-    /// excluded).
-    pub fn into_particles(self) -> Vec<Particle<M>> {
-        let removed = self.removed;
-        self.particles
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !removed[*i])
-            .map(|(_, p)| p)
-            .collect()
-    }
-
     /// Iterates over `(id, particle)` pairs (removed particles excluded).
     pub fn iter(&self) -> impl Iterator<Item = (ParticleId, &Particle<M>)> {
         self.particles
@@ -883,11 +775,6 @@ impl<M> ParticleSystem<M> {
     /// *post-addition* shape, and takes part in every subsequent round.
     /// Returns `false` — without changing anything — if the point is
     /// occupied.
-    ///
-    /// Snapshots taken before an addition have fewer particle slots than
-    /// the grown system, so [`ParticleSystem::restore_snapshot`] rejects
-    /// them; checkpoint layers fall back to replaying from the initial
-    /// configuration, which re-applies the addition deterministically.
     pub fn add_particle<A>(&mut self, point: Point, algorithm: &A) -> bool
     where
         A: Algorithm<Memory = M> + ?Sized,
@@ -976,100 +863,6 @@ impl<M> ParticleSystem<M> {
         self.terminated = 0;
         self.parked.fill(false);
         self.rebuild_ready();
-    }
-
-    /// Captures the system's mid-run state for a [`SystemSnapshot`].
-    pub fn snapshot(&self) -> SystemSnapshot<M>
-    where
-        M: Clone,
-    {
-        SystemSnapshot {
-            particles: self.particles.clone(),
-            removed: self.removed.clone(),
-            parked: self.parked.clone(),
-            expansions: self.expansions,
-            contractions: self.contractions,
-            handovers: self.handovers,
-        }
-    }
-
-    /// Overwrites this system's state with a snapshot captured by
-    /// [`ParticleSystem::snapshot`] of a system built from the *same*
-    /// initial shape. The occupancy map is rebuilt in place (backend and
-    /// dense rectangle retained from the initial build), and the alive and
-    /// terminated counts and the ready set are recomputed from the flags.
-    ///
-    /// # Errors
-    ///
-    /// Rejects snapshots whose slot counts are inconsistent or that do not
-    /// match this system's particle count (a snapshot of a different
-    /// configuration), and configurations no execution reaches: two
-    /// particles on one point, an expanded particle whose head and tail are
-    /// not adjacent, or a point outside [`restore_bounds`] of the initial
-    /// shape. A rejected snapshot leaves the system unchanged.
-    pub fn restore_snapshot(&mut self, snapshot: &SystemSnapshot<M>) -> Result<(), String>
-    where
-        M: Clone,
-    {
-        let slots = snapshot.particles.len();
-        if snapshot.removed.len() != slots || snapshot.parked.len() != slots {
-            return Err(format!(
-                "inconsistent snapshot: {slots} particle slot(s), {} removed flag(s), \
-                 {} parked flag(s)",
-                snapshot.removed.len(),
-                snapshot.parked.len()
-            ));
-        }
-        if slots != self.particles.len() {
-            return Err(format!(
-                "snapshot has {slots} particle slot(s) but the system has {}",
-                self.particles.len()
-            ));
-        }
-        let alive = || {
-            snapshot
-                .particles
-                .iter()
-                .zip(&snapshot.removed)
-                .filter(|(_, removed)| !**removed)
-                .map(|(particle, _)| particle)
-        };
-        check_restored_points(
-            self.restore_bounds,
-            alive().flat_map(|particle| particle.occupied_points()),
-        )?;
-        if let Some(particle) = alive().find(|p| p.is_expanded() && !p.head.is_adjacent(p.tail)) {
-            return Err(format!(
-                "snapshot particle with head {} and tail {} occupies non-adjacent points",
-                particle.head, particle.tail
-            ));
-        }
-        self.occupancy.clear();
-        for (i, particle) in snapshot.particles.iter().enumerate() {
-            if snapshot.removed[i] {
-                continue;
-            }
-            let id = ParticleId(i);
-            self.occupancy.insert(particle.head, id);
-            if particle.tail != particle.head {
-                self.occupancy.insert(particle.tail, id);
-            }
-        }
-        self.particles = snapshot.particles.clone();
-        self.removed = snapshot.removed.clone();
-        self.parked = snapshot.parked.clone();
-        self.rebuild_ready();
-        self.alive = self.removed.iter().filter(|r| !**r).count();
-        self.terminated = self
-            .particles
-            .iter()
-            .zip(&self.removed)
-            .filter(|(p, removed)| !**removed && p.terminated)
-            .count();
-        self.expansions = snapshot.expansions;
-        self.contractions = snapshot.contractions;
-        self.handovers = snapshot.handovers;
-        Ok(())
     }
 
     // -- Quiescence parking ------------------------------------------------
@@ -1640,71 +1433,14 @@ mod tests {
 
         sys.park(p(7));
         sys.set_terminated(p(8));
-        let snapshot = sys.snapshot();
         sys.reinitialize(&Corruptible);
         assert!(sys.is_ready(p(7)) && sys.is_ready(p(8)) && sys.is_ready(p(10)));
         assert_ready_set_matches_flags(&sys, "reinitialize");
-        sys.restore_snapshot(&snapshot).unwrap();
-        assert!(!sys.is_ready(p(7)) && !sys.is_ready(p(8)) && !sys.is_ready(p(20)));
-        assert_ready_set_matches_flags(&sys, "restore_snapshot");
 
+        sys.park(p(7));
         sys.set_parking(false);
         assert!(sys.is_ready(p(7)), "parked flags are dropped with parking");
         assert_ready_set_matches_flags(&sys, "set_parking(false)");
-    }
-
-    #[test]
-    fn restore_refuses_configurations_no_execution_reaches() {
-        let mut sys = system_on_line(3);
-        let right = sys.particle_at(Point::new(2, 0)).unwrap();
-        sys.expand(right, Direction::E).unwrap();
-        let genuine = sys.snapshot();
-        let before = sys.snapshot();
-        let crafted = |edit: &dyn Fn(&mut Vec<Particle<u32>>)| {
-            let mut snapshot = genuine.clone();
-            edit(&mut snapshot.particles);
-            snapshot
-        };
-        let stacked = crafted(&|particles| particles[1].head = particles[0].head);
-        let torn = crafted(&|particles| particles[2].tail = Point::new(0, 5));
-        // The line's bounding rectangle is (0, 0)..=(2, 0); a restored point
-        // may lie up to RESTORE_MARGIN beyond it.
-        let margin = RESTORE_MARGIN as i32;
-        let far = crafted(&|particles| {
-            particles[0].head = Point::new(-margin - 1, 0);
-            particles[0].tail = particles[0].head;
-        });
-        let extreme = crafted(&|particles| {
-            particles[2].head = Point::new(i32::MIN, i32::MAX);
-        });
-        let near = crafted(&|particles| {
-            particles[0].head = Point::new(-margin, margin);
-            particles[0].tail = particles[0].head;
-        });
-        for (name, snapshot) in [
-            ("stacked", stacked),
-            ("torn", torn),
-            ("far", far),
-            ("extreme", extreme),
-        ] {
-            let error = sys.restore_snapshot(&snapshot).unwrap_err();
-            assert!(!error.is_empty(), "{name}");
-            // Nothing changed: every point and counter is as before.
-            assert_eq!(sys.particle_positions(), particle_heads(&before), "{name}");
-            assert_eq!(sys.shape().len(), 4, "{name}");
-            sys.check_invariants().unwrap();
-        }
-        sys.restore_snapshot(&near).unwrap();
-        sys.check_invariants().unwrap();
-        // A removed slot's stale points are not part of the configuration.
-        let mut removed = crafted(&|particles| particles[1].head = particles[0].head);
-        removed.removed[1] = true;
-        sys.restore_snapshot(&removed).unwrap();
-        sys.check_invariants().unwrap();
-    }
-
-    fn particle_heads(snapshot: &SystemSnapshot<u32>) -> Vec<Point> {
-        snapshot.particles.iter().map(|p| p.head).collect()
     }
 
     #[test]

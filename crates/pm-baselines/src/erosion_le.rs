@@ -20,14 +20,13 @@ use pm_core::api::{
 };
 use pm_core::dle::Status;
 use pm_grid::{local_sce, Shape, DIRECTIONS};
-use serde::{Deserialize, Serialize};
 
 /// Per-particle memory of the erosion baseline, in bits (measured from
 /// [`ErosionMemory`]).
 pub const EROSION_MEMORY_BITS: u64 = (std::mem::size_of::<ErosionMemory>() * 8) as u64;
 
 /// Memory of a particle running the erosion baseline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ErosionMemory {
     /// The election output.
     pub status: Status,

@@ -35,7 +35,6 @@ use pm_core::api::{
 };
 use pm_core::dle::Status;
 use pm_grid::{Direction, Point, Shape, DIRECTIONS};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Per-particle memory of the self-stabilising election, in bits (measured
@@ -49,7 +48,7 @@ pub const SELF_STAB_MEMORY_BITS: u64 = (std::mem::size_of::<SelfStabMemory>() * 
 /// itself to be the leader. Any other value names the claimed particle's
 /// position relative to this particle's own, reached by following `parent`
 /// for `hops` steps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SelfStabMemory {
     /// Claimed leader position, `q` offset from the particle's own position.
     pub claim_q: i32,

@@ -1,12 +1,14 @@
 //! Throughput benchmark: end-to-end wall-clock cost of full elections
 //! (`OBD → DLE → Collect`) on ball / annulus / random-hole shapes at
 //! n ≈ 100, 1k and 10k — per-scenario single-run latency and
-//! activations/second. The numbers go into the `benchmark`, `max_n`,
-//! `host` and `results` keys of `BENCH_results.json` at the repo root, so
-//! the performance trajectory is tracked over time; every other section of
-//! the file is left as it was. `host` records where the numbers were
-//! taken: the processor count, the processor model and the commit. Many-run throughput is the session scheduler's
-//! to measure (the `sessions` Criterion bench).
+//! activations/second. Every scenario is timed [`REPS`] times; the median
+//! is its `elapsed_ms`, with the fastest and slowest run beside it. The
+//! numbers go into the `benchmark`, `max_n`, `host` and `results` keys of
+//! `BENCH_results.json` at the repo root, so the performance trajectory is
+//! tracked over time; every other section of the file is left as it was.
+//! `host` records where the numbers were taken: the processor count, the
+//! processor model and the commit. Many-run throughput is the session
+//! scheduler's to measure (the `sessions` Criterion bench).
 //!
 //! If `BENCH_baseline.json` exists at the repo root (numbers measured on an
 //! earlier revision with this same binary), each scenario also reports the
@@ -25,12 +27,13 @@ use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
-/// One benchmark scenario: a named shape plus how many timed repetitions to
-/// take the minimum over (small instances are noisy, large ones are slow).
+/// How many times every scenario is timed.
+const REPS: usize = 5;
+
+/// One benchmark scenario: a named shape.
 struct Scenario {
     label: &'static str,
     shape: Shape,
-    reps: u32,
 }
 
 /// A shape family: label prefix and the registry specs that land the point
@@ -95,11 +98,7 @@ fn scenarios(max_n: u32) -> Vec<Scenario> {
             if shape.len() > max_n as usize {
                 continue;
             }
-            all.push(Scenario {
-                label,
-                reps: if shape.len() <= 2_000 { 3 } else { 1 },
-                shape,
-            });
+            all.push(Scenario { label, shape });
         }
     }
     all
@@ -193,31 +192,42 @@ fn main() {
 
     let mut results = Vec::new();
     println!(
-        "{:<12} {:>6} {:>8} {:>12} {:>12} {:>14} {:>9}",
-        "scenario", "n", "rounds", "activations", "elapsed_ms", "activ/sec", "speedup"
+        "{:<12} {:>6} {:>8} {:>12} {:>12} {:>17} {:>14} {:>9}",
+        "scenario",
+        "n",
+        "rounds",
+        "activations",
+        "elapsed_ms",
+        "min..max_ms",
+        "activ/sec",
+        "speedup"
     );
     for scenario in scenarios(max_n) {
-        let mut best: Option<(RunReport, f64)> = None;
-        for _ in 0..scenario.reps {
-            let (report, secs) = timed_run(&scenario.shape);
-            if best.as_ref().is_none_or(|(_, b)| secs < *b) {
-                best = Some((report, secs));
-            }
-        }
-        let (report, secs) = best.expect("at least one repetition");
-        let elapsed_ms = secs * 1e3;
-        let per_sec = report.activations as f64 / secs.max(1e-9);
+        let mut report = None;
+        let mut times_ms: Vec<f64> = (0..REPS)
+            .map(|_| {
+                let (run, secs) = timed_run(&scenario.shape);
+                report = Some(run);
+                secs * 1e3
+            })
+            .collect();
+        let report = report.expect("at least one repetition");
+        times_ms.sort_by(f64::total_cmp);
+        let elapsed_ms = times_ms[REPS / 2];
+        let (min_ms, max_ms) = (times_ms[0], times_ms[REPS - 1]);
+        let per_sec = report.activations as f64 / (elapsed_ms / 1e3).max(1e-9);
         let speedup = baseline
             .iter()
             .find(|(label, _)| label == scenario.label)
             .map(|(_, base_ms)| base_ms / elapsed_ms.max(1e-9));
         println!(
-            "{:<12} {:>6} {:>8} {:>12} {:>12.2} {:>14.0} {:>9}",
+            "{:<12} {:>6} {:>8} {:>12} {:>12.2} {:>17} {:>14.0} {:>9}",
             scenario.label,
             report.n,
             report.total_rounds,
             report.activations,
             elapsed_ms,
+            format!("{min_ms:.2}..{max_ms:.2}"),
             per_sec,
             speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
         );
@@ -228,6 +238,8 @@ fn main() {
             ("activations".to_string(), Value::UInt(report.activations)),
             ("moves".to_string(), Value::UInt(report.moves)),
             ("elapsed_ms".to_string(), Value::Float(elapsed_ms)),
+            ("elapsed_min_ms".to_string(), Value::Float(min_ms)),
+            ("elapsed_max_ms".to_string(), Value::Float(max_ms)),
             ("activations_per_sec".to_string(), Value::Float(per_sec)),
         ];
         if let Some(speedup) = speedup {

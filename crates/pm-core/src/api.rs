@@ -76,6 +76,11 @@
 //! fields. The execution owns the step grammar, the phase reports and
 //! their totals, the status, the budget and no-leader errors, and the
 //! final report.
+//!
+//! An execution exports no state of its own to persist. Every contender
+//! is deterministic under its scheduler, so the session layer's
+//! checkpoints ([`crate::session::ExecutionCheckpoint`]) rebuild a run by
+//! replaying its steps on a freshly started execution.
 
 use crate::collect::{CollectOutcome, CollectSimulator};
 use crate::dle::{
@@ -83,10 +88,10 @@ use crate::dle::{
 };
 use crate::obd::run_obd;
 use pm_amoebot::algorithm::Algorithm;
-use pm_amoebot::scheduler::{RunError, Runner, RunnerSnapshot, Scheduler, SeededRandom};
+use pm_amoebot::scheduler::{RunError, Runner, Scheduler, SeededRandom};
 use pm_amoebot::stats::RunStats;
-use pm_amoebot::system::{restore_bounds, OccupancyBackend, ParticleSystem, SystemControl};
-use pm_grid::{GridRect, Point, Shape};
+use pm_amoebot::system::{OccupancyBackend, ParticleSystem, SystemControl};
+use pm_grid::{Point, Shape};
 use pm_telemetry::trace;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -477,7 +482,7 @@ pub type BoxedScheduler<'a> = Box<dyn Scheduler + Send + 'a>;
 /// An amoebot algorithm that a contender runs as a round-driven phase. The
 /// execution steps it one asynchronous round per step and reads each
 /// particle's election output off its memory.
-pub trait RoundDriven: Algorithm<Memory: Serialize + Deserialize + Send> + Send {
+pub trait RoundDriven: Algorithm<Memory: Send> + Send {
     /// The particle's election output.
     fn status(memory: &Self::Memory) -> Status;
 
@@ -501,8 +506,6 @@ trait LiveRunner: Send {
     /// Folds in the final counters and reads the phase's outcome; `None`
     /// when no particle is leader.
     fn outcome(&mut self) -> Option<DleOutcome>;
-    fn snapshot(&self) -> serde::Value;
-    fn restore(&mut self, snapshot: &serde::Value) -> Result<(), String>;
 }
 
 impl<A: RoundDriven, S: Scheduler + Send> LiveRunner for Runner<A, S> {
@@ -533,16 +536,6 @@ impl<A: RoundDriven, S: Scheduler + Send> LiveRunner for Runner<A, S> {
     fn outcome(&mut self) -> Option<DleOutcome> {
         let stats = self.finalize();
         DleOutcome::from_run(stats, self.system(), A::status)
-    }
-
-    fn snapshot(&self) -> serde::Value {
-        Runner::snapshot(self).to_value()
-    }
-
-    fn restore(&mut self, snapshot: &serde::Value) -> Result<(), String> {
-        let snapshot = RunnerSnapshot::from_value(snapshot)
-            .map_err(|e| format!("malformed runner snapshot: {e}"))?;
-        self.restore_snapshot(&snapshot)
     }
 }
 
@@ -628,24 +621,6 @@ impl Phase<'_> {
     }
 }
 
-/// The execution's side of a native snapshot (see [`Contender::snapshot`]).
-#[derive(Clone, Debug)]
-pub struct DriverState {
-    /// The position in the phase sequence: `start-<phase>` before a phase,
-    /// `run-<phase>` inside it, `finish` after the last, `done` once
-    /// finished.
-    pub state: String,
-    /// Reports of the phases that have ended (empty once finished: they
-    /// have moved into the final report).
-    pub reports: Vec<PhaseReport>,
-    /// The outcome of the round-driven phase, once it has ended.
-    pub rounds: Option<DleOutcome>,
-    /// The final report, once finished.
-    pub done: Option<RunReport>,
-    /// The live runner's snapshot, inside a round-driven phase.
-    pub runner: Option<serde::Value>,
-}
-
 /// What a contender keeps for one run: the bodies of its closed-form
 /// phases and the report fields the execution cannot fill itself. Every
 /// method has a default, so a contender that is one round-driven phase
@@ -672,26 +647,6 @@ pub trait Contender: Send {
     /// names the leader, `leaders` and `followers`).
     fn finish(&self, report: &mut RunReport, shape: &Shape) {
         let _ = (report, shape);
-    }
-
-    /// A native snapshot of the run: the execution's state, captured on
-    /// demand by `driver`, plus the contender's own. `None` (the default)
-    /// means no native snapshot support; callers then replay from step
-    /// zero.
-    fn snapshot(&self, driver: &dyn Fn() -> DriverState) -> Option<serde::Value> {
-        let _ = driver;
-        None
-    }
-
-    /// Takes back the contender's part of a [`Contender::snapshot`] and
-    /// returns the execution's part.
-    ///
-    /// # Errors
-    ///
-    /// Malformed snapshots, and every snapshot by default.
-    fn restore(&mut self, snapshot: &serde::Value) -> Result<DriverState, String> {
-        let _ = snapshot;
-        Err("this execution does not support native snapshots".to_string())
     }
 }
 
@@ -932,7 +887,7 @@ impl<'a> Execution<'a> {
                 }
                 // A fault may have removed the leader. The phase then stays
                 // open, so every later step answers the same error and the
-                // status and snapshot still read the live system.
+                // status still reads the live system.
                 let outcome = runner.outcome().ok_or_else(|| ElectionError::NoLeader {
                     after_rounds: runner.stats().rounds,
                 })?;
@@ -1102,124 +1057,6 @@ impl<'a> Execution<'a> {
         }
     }
 
-    /// The execution's side of a native snapshot.
-    fn driver_state(&self) -> DriverState {
-        let state = match self.phases.get(self.next) {
-            _ if self.done.is_some() => "done".to_string(),
-            None => "finish".to_string(),
-            Some(phase) if self.active => format!("run-{}", phase.name()),
-            Some(phase) => format!("start-{}", phase.name()),
-        };
-        DriverState {
-            state,
-            reports: self.reports.clone(),
-            rounds: self.outcome.clone(),
-            done: self.done.as_deref().cloned(),
-            runner: self.running().map(|(_, runner)| runner.snapshot()),
-        }
-    }
-
-    /// A portable snapshot of the execution's complete mid-run state, as a
-    /// serde value tree — the substrate of *re-baselined* checkpoints,
-    /// whose replay cost is bounded by the snapshot age instead of the
-    /// session age. `None` when the contender has no native snapshot
-    /// support (see [`Contender::snapshot`]); callers then fall back to
-    /// replaying from step zero.
-    pub fn snapshot(&self) -> Option<serde::Value> {
-        self.contender.snapshot(&|| self.driver_state())
-    }
-
-    /// Restores a snapshot captured by [`Execution::snapshot`] into this
-    /// (freshly started, identically configured) execution. After a
-    /// successful restore it continues exactly as the snapshotted one
-    /// would have — byte-identically, by the same determinism contract as
-    /// replay.
-    ///
-    /// # Errors
-    ///
-    /// Malformed or mismatched snapshots are rejected, and so are states
-    /// no run reaches: a round-driven phase's outcome whose positions
-    /// repeat, leave the initial shape's [`restore_bounds`], miss the
-    /// leader or disagree with its status counts, and a runner state the
-    /// runner refuses ([`Runner::restore_snapshot`]). A rejected snapshot
-    /// leaves the execution's phases where they were, so callers may
-    /// replay it from step zero instead.
-    pub fn restore_snapshot(&mut self, snapshot: &serde::Value) -> Result<(), String> {
-        let state = self.contender.restore(snapshot)?;
-        let (next, active) = match state.state.as_str() {
-            "finish" | "done" => (self.phases.len(), false),
-            tag => {
-                let (active, name) = match tag.split_once('-') {
-                    Some(("run", name)) => (true, name),
-                    Some(("start", name)) => (false, name),
-                    _ => return Err(format!("unknown snapshot state `{tag}`")),
-                };
-                let next = self
-                    .phases
-                    .iter()
-                    .position(|phase| phase.name() == name)
-                    .ok_or_else(|| format!("unknown snapshot state `{tag}`"))?;
-                (next, active)
-            }
-        };
-        let done = if state.state == "done" {
-            Some(
-                state
-                    .done
-                    .ok_or("`done` snapshot carries no final report")?,
-            )
-        } else {
-            None
-        };
-        // Later phases read the round-driven phase's outcome, and Collect
-        // sizes its work by the outcome's coordinates, so a hand-made one
-        // must hold what a run can end in.
-        if let Some(outcome) = &state.rounds {
-            outcome
-                .check_restored(restore_bounds(&self.shape))
-                .map_err(|e| format!("`{}` snapshot: {e}", state.state))?;
-        }
-        for (index, phase) in self.phases.iter_mut().enumerate() {
-            let Phase::Rounds(rounds) = phase else {
-                continue;
-            };
-            if index < next && state.rounds.is_none() {
-                return Err(format!(
-                    "`{}` snapshot carries no `{}` outcome",
-                    state.state, rounds.name
-                ));
-            } else if index == next && active {
-                let runner = state
-                    .runner
-                    .as_ref()
-                    .ok_or_else(|| format!("`{}` snapshot carries no runner state", state.state))?;
-                // The last check: a rejected runner state leaves the
-                // runner unchanged.
-                rounds
-                    .runner
-                    .as_mut()
-                    .ok_or("a freshly started execution holds its runner")?
-                    .restore(runner)?;
-            }
-        }
-        // An ended phase dropped its runner in the live run. A phase not yet
-        // started keeps its fresh runner, which is exactly the snapshotted
-        // one (no rounds have run).
-        for phase in &mut self.phases[..next] {
-            if let Phase::Rounds(rounds) = phase {
-                rounds.runner = None;
-            }
-        }
-        if let Some(report) = done {
-            self.done = Some(Box::new(report));
-        }
-        self.next = next;
-        self.active = active;
-        self.reports = state.reports;
-        self.outcome = state.rounds;
-        Ok(())
-    }
-
     /// Runs the remaining steps to completion and returns the report.
     ///
     /// # Errors
@@ -1369,27 +1206,6 @@ impl RoundDriven for DleAlgorithm {
 struct Pipeline {
     obd_ran: bool,
     collect: Option<CollectOutcome>,
-    /// Where a restored DLE outcome may place particles: the initial
-    /// shape's [`restore_bounds`].
-    restore_bounds: Option<GridRect>,
-}
-
-/// The serialized form of a pipeline run mid-way: everything that cannot
-/// be rebuilt by re-starting the pipeline on the same spec. The runner
-/// snapshot is present exactly in the `run-dle` state (before DLE the fresh
-/// runner *is* the restored runner; after DLE it has been consumed into
-/// [`DleOutcome`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct PipelineSnapshot {
-    /// The position in the phase sequence (see [`DriverState::state`]).
-    state: String,
-    reports: Vec<PhaseReport>,
-    obd_ran: bool,
-    dle: Option<DleOutcome>,
-    collect: Option<CollectOutcome>,
-    /// The final report, present exactly in the `done` state.
-    done: Option<RunReport>,
-    runner: Option<serde::Value>,
 }
 
 impl Contender for Pipeline {
@@ -1413,51 +1229,6 @@ impl Contender for Pipeline {
         }
         report.final_connected =
             Shape::from_points(report.final_positions.iter().copied()).is_connected();
-    }
-
-    fn snapshot(&self, driver: &dyn Fn() -> DriverState) -> Option<serde::Value> {
-        let driver = driver();
-        let snapshot = PipelineSnapshot {
-            state: driver.state,
-            reports: driver.reports,
-            obd_ran: self.obd_ran,
-            dle: driver.rounds,
-            collect: self.collect.clone(),
-            done: driver.done,
-            runner: driver.runner,
-        };
-        Some(snapshot.to_value())
-    }
-
-    fn restore(&mut self, snapshot: &serde::Value) -> Result<DriverState, String> {
-        let snap = PipelineSnapshot::from_value(snapshot)
-            .map_err(|e| format!("malformed pipeline snapshot: {e}"))?;
-        // Collect's outcome is a function of DLE's. It is rebuilt from the
-        // checked DLE outcome rather than taken from the snapshot, whose
-        // coordinates would size the final connectivity check.
-        let collect = match (&snap.collect, &snap.dle) {
-            (None, _) => None,
-            (Some(_), Some(dle)) => {
-                dle.check_restored(self.restore_bounds)
-                    .map_err(|e| format!("`{}` snapshot: {e}", snap.state))?;
-                Some(CollectSimulator::new(dle.leader_point, &dle.final_positions).run())
-            }
-            (Some(_), None) => {
-                return Err(format!(
-                    "`{}` snapshot carries a Collect outcome but no DLE outcome",
-                    snap.state
-                ))
-            }
-        };
-        self.obd_ran = snap.obd_ran;
-        self.collect = collect;
-        Ok(DriverState {
-            state: snap.state,
-            reports: snap.reports,
-            rounds: snap.dle,
-            done: snap.done,
-            runner: snap.runner,
-        })
     }
 }
 
@@ -1497,7 +1268,6 @@ impl LeaderElection for PaperPipeline {
         let pipeline = Pipeline {
             obd_ran: false,
             collect: None,
-            restore_bounds: restore_bounds(shape),
         };
         Plan::new(phases, pipeline)
     }
@@ -1892,140 +1662,6 @@ mod tests {
         // Once the budget is gone, next_round reports no upcoming round.
         assert_eq!(execution.status().next_round, None);
         assert_eq!(execution.next_round(), None);
-    }
-
-    #[test]
-    fn snapshots_past_the_round_driven_phase_must_carry_its_outcome() {
-        let shape = hexagon(2);
-        let opts = RunOptions::default();
-        let mut scheduler = SeededRandom::new(1);
-        let mut execution = PaperPipeline.start(&shape, &mut scheduler, &opts).unwrap();
-        while execution.status().phase != Some(phase::COLLECT) {
-            execution.step_round().unwrap();
-        }
-        let mut snapshot = execution.snapshot().unwrap();
-        let serde::Value::Object(entries) = &mut snapshot else {
-            panic!("snapshots serialize to objects");
-        };
-        for (key, value) in entries.iter_mut() {
-            if key == "dle" {
-                *value = serde::Value::Null;
-            }
-        }
-        let mut scheduler = SeededRandom::new(1);
-        let mut fresh = PaperPipeline.start(&shape, &mut scheduler, &opts).unwrap();
-        assert!(fresh.restore_snapshot(&snapshot).is_err());
-    }
-
-    /// The value under `key` of a snapshot object.
-    fn entry<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
-        let serde::Value::Object(entries) = value else {
-            panic!("`{key}`: not an object");
-        };
-        let (_, value) = entries
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("no `{key}`"));
-        value
-    }
-
-    /// Element `i` of a snapshot array.
-    fn element(value: &mut serde::Value, i: usize) -> &mut serde::Value {
-        let serde::Value::Array(items) = value else {
-            panic!("not an array");
-        };
-        &mut items[i]
-    }
-
-    #[test]
-    fn crafted_snapshots_with_far_or_stacked_particles_are_refused() {
-        let shape = hexagon(3);
-        let opts = RunOptions::default();
-        let start = || {
-            PaperPipeline
-                .start_owned(&shape, Box::new(SeededRandom::new(1)), &opts)
-                .unwrap()
-        };
-        let reference = PaperPipeline
-            .elect(&shape, &mut SeededRandom::new(1), &opts)
-            .unwrap();
-        let far = Point::new(1_000_000_000, 0).to_value();
-        let mut execution = start();
-        while execution.next_round() != Some((phase::DLE, 1)) {
-            execution.step_round().unwrap();
-        }
-        let in_dle = execution.snapshot().unwrap();
-        let mut next_phase_end = || loop {
-            if let StepOutcome::PhaseEnded { .. } = execution.step_round().unwrap() {
-                break execution.snapshot().unwrap();
-            }
-        };
-        let dle_ended = next_phase_end();
-        let collected = next_phase_end();
-        assert_eq!(
-            collected.get("state"),
-            Some(&serde::Value::Str("finish".to_string()))
-        );
-
-        // A `run-dle` runner whose particle 0 is far away, decided and
-        // terminated: before the check, Collect later built a ring of
-        // radius ~10⁹ and the process aborted on the allocation.
-        let mut far_particle = in_dle.clone();
-        let particle = element(
-            entry(
-                entry(entry(&mut far_particle, "runner"), "system"),
-                "particles",
-            ),
-            0,
-        );
-        *entry(particle, "head") = far.clone();
-        *entry(particle, "tail") = far.clone();
-        *entry(entry(particle, "memory"), "status") = Status::Follower.to_value();
-        *entry(particle, "terminated") = serde::Value::Bool(true);
-        // Particle 1 stacked on particle 0's point.
-        let mut stacked = in_dle.clone();
-        let particles = entry(entry(entry(&mut stacked, "runner"), "system"), "particles");
-        let head = entry(element(particles, 0), "head").clone();
-        *entry(element(particles, 1), "head") = head.clone();
-        *entry(element(particles, 1), "tail") = head;
-        // A `start-collect` DLE outcome with one far final position.
-        let mut far_position = dle_ended.clone();
-        *element(entry(entry(&mut far_position, "dle"), "final_positions"), 1) = far;
-        // The same outcome missing a position its status counts include.
-        let mut short = dle_ended.clone();
-        let serde::Value::Array(positions) = entry(entry(&mut short, "dle"), "final_positions")
-        else {
-            panic!("positions serialize to an array");
-        };
-        positions.pop();
-
-        for (name, crafted) in [
-            ("far particle", far_particle),
-            ("stacked particles", stacked),
-            ("far DLE position", far_position),
-            ("short DLE outcome", short),
-        ] {
-            let mut fresh = start();
-            let refused = fresh.restore_snapshot(&crafted);
-            assert!(refused.is_err(), "{name}: restored");
-            // A refused snapshot leaves the execution where it was, so a
-            // replay from step zero reproduces the uninterrupted run.
-            assert_eq!(fresh.finish().unwrap(), reference, "{name}");
-        }
-        for genuine in [in_dle, dle_ended] {
-            start().restore_snapshot(&genuine).unwrap();
-        }
-        // A `finish` snapshot's Collect outcome is rebuilt from its DLE
-        // outcome; before, a far point in it sized the final connectivity
-        // grid and the allocation aborted the process.
-        let mut far_collect = collected;
-        *element(
-            entry(entry(&mut far_collect, "collect"), "final_positions"),
-            1,
-        ) = Point::new(1_000_000_000, 1_000_000_000).to_value();
-        let mut fresh = start();
-        fresh.restore_snapshot(&far_collect).unwrap();
-        assert_eq!(fresh.finish().unwrap(), reference);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //! and tested.
 
 use pm_grid::{Point, Shape};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Round cost of primitive OMP for a stem of size `k` (Lemma 24: `O(k)`; the
@@ -54,7 +53,7 @@ pub fn sdp_rounds(k: u64) -> u64 {
 }
 
 /// Per-phase record of Algorithm Collect.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseRecord {
     /// Phase index, starting at 1.
     pub index: usize,
@@ -69,7 +68,7 @@ pub struct PhaseRecord {
 }
 
 /// The result of running Algorithm Collect.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CollectOutcome {
     /// Total rounds across all phases (including the final empty phase).
     pub rounds: u64,

@@ -20,12 +20,11 @@
 use pm_amoebot::algorithm::{ActivationContext, Algorithm, InitContext};
 use pm_amoebot::scheduler::{RunError, Runner, Scheduler};
 use pm_amoebot::stats::RunStats;
-use pm_amoebot::system::{check_restored_points, ParticleSystem};
-use pm_grid::{local_sce, Direction, GridRect, Point, Shape, DIRECTIONS};
-use serde::{Deserialize, Serialize};
+use pm_amoebot::system::ParticleSystem;
+use pm_grid::{local_sce, Direction, Point, Shape, DIRECTIONS};
 
 /// The leader-election output variable of a particle.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Status {
     /// The particle has not decided yet.
     #[default]
@@ -52,7 +51,7 @@ pub fn count_decisions(statuses: impl Iterator<Item = Status>) -> (usize, usize)
 }
 
 /// The constant-size memory of a particle running Algorithm DLE.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DleMemory {
     /// The election output.
     pub status: Status,
@@ -216,7 +215,7 @@ impl Algorithm for DleAlgorithm {
 /// The result of running Algorithm DLE on an initial shape. An
 /// [`Execution`](crate::api::Execution) reads the outcome of every
 /// round-driven election phase, a baseline's included, into this type.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DleOutcome {
     /// Execution statistics (rounds, activations, moves, connectivity).
     pub stats: RunStats,
@@ -302,32 +301,6 @@ impl DleOutcome {
             final_positions,
             status_counts: counts,
         })
-    }
-
-    /// Checks an outcome restored from a snapshot against what a run can
-    /// end in: one position per counted particle, pairwise distinct and
-    /// inside `bounds` (the initial shape's
-    /// [`restore_bounds`](pm_amoebot::system::restore_bounds)), with the
-    /// leader among them.
-    pub(crate) fn check_restored(&self, bounds: Option<GridRect>) -> Result<(), String> {
-        let (leaders, followers, undecided) = self.status_counts;
-        let counted = leaders
-            .checked_add(followers)
-            .and_then(|sum| sum.checked_add(undecided));
-        if counted != Some(self.final_positions.len()) {
-            return Err(format!(
-                "outcome counts {leaders} + {followers} + {undecided} particles but holds {} \
-                 position(s)",
-                self.final_positions.len()
-            ));
-        }
-        if !self.final_positions.contains(&self.leader_point) {
-            return Err(format!(
-                "outcome's leader point {} is not among its final positions",
-                self.leader_point
-            ));
-        }
-        check_restored_points(bounds, self.final_positions.iter().copied())
     }
 }
 

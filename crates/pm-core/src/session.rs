@@ -31,14 +31,11 @@
 //! restore is rejected as diverged (e.g. a checkpoint presented against a
 //! different corpus or code version).
 //!
-//! Replaying from step zero makes restore cost grow with session age, so
-//! long-lived servers periodically call [`SessionScheduler::rebaseline`]:
-//! it embeds a native mid-run state snapshot ([`BaselineSnapshot`], from
-//! [`Execution::snapshot`]) into subsequent checkpoints, and restore then
-//! fast-forwards to the baseline and replays only the steps after it. The
-//! baseline is a shortcut, never an authority — the same counters validate
-//! the result, and executions without native snapshot support (or broken
-//! baselines) fall back to the full replay path.
+//! A restore therefore costs what the session has run so far: its own
+//! steps, replayed on the caller's thread (the server's core lock), at
+//! most one whole election of the spec, since replay stops at the
+//! session's outcome. A checkpoint stays a few hundred bytes however
+//! large the shape.
 
 use crate::api::{ElectionError, Execution, ExecutionStatus, RunReport, StepOutcome};
 use pm_telemetry::trace;
@@ -82,28 +79,8 @@ pub struct SessionView {
     pub done: bool,
 }
 
-/// A native mid-run state snapshot taken at a known step cursor — the
-/// *re-baselining* companion to replay-based checkpoints. A checkpoint
-/// carrying a baseline restores by applying the baseline's state to a fresh
-/// execution and replaying only the steps *after* it, so replay cost is
-/// bounded by the baseline's age instead of the session's (the server
-/// refreshes baselines from its housekeeping pass, bounding it by the
-/// autosave interval). The state value comes from [`Execution::snapshot`];
-/// executions without native snapshot support simply never get a baseline
-/// and keep replaying from step zero.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BaselineSnapshot {
-    /// The step cursor the state was captured at.
-    pub steps: u64,
-    /// Cumulative round-driven rounds at capture time.
-    pub rounds: u64,
-    /// The execution's native state tree ([`Execution::snapshot`]).
-    pub state: serde::Value,
-}
-
 /// A serializable snapshot of one session: replay cursor + validation
-/// counters, plus an optional replay [`BaselineSnapshot`]. Produced by
-/// [`SessionScheduler::checkpoint`], consumed by
+/// counters. Produced by [`SessionScheduler::checkpoint`], consumed by
 /// [`SessionScheduler::restore`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionCheckpoint {
@@ -128,10 +105,6 @@ pub struct ExecutionCheckpoint {
     pub undecided: usize,
     /// Validation: whether the run had finished at capture time.
     pub finished: bool,
-    /// Replay shortcut: when present, restore starts from this mid-run
-    /// state instead of step zero (see [`BaselineSnapshot`]). Never taken
-    /// on faith — the validation counters above still guard the result.
-    pub baseline: Option<BaselineSnapshot>,
 }
 
 impl ExecutionCheckpoint {
@@ -146,23 +119,7 @@ impl ExecutionCheckpoint {
             decided: status.decided,
             undecided: status.undecided,
             finished: status.finished,
-            baseline: None,
         }
-    }
-
-    /// Whether the validation counters (everything except the baseline,
-    /// which is a replay shortcut rather than an observation) agree with
-    /// `other`'s — the comparison [`SessionScheduler::restore`] performs.
-    pub fn same_counters(&self, other: &ExecutionCheckpoint) -> bool {
-        self.algorithm == other.algorithm
-            && self.steps == other.steps
-            && self.rounds == other.rounds
-            && self.total_rounds == other.total_rounds
-            && self.rounds_in_phase == other.rounds_in_phase
-            && self.phase == other.phase
-            && self.decided == other.decided
-            && self.undecided == other.undecided
-            && self.finished == other.finished
     }
 }
 
@@ -217,10 +174,6 @@ struct Slot<P> {
     recording: bool,
     recorded: Vec<ExecutionStatus>,
     outcome: Option<Result<RunReport, ElectionError>>,
-    /// The most recent native state snapshot, refreshed by
-    /// [`SessionScheduler::rebaseline`]; embedded into checkpoints so
-    /// restores replay only the steps since it.
-    baseline: Option<BaselineSnapshot>,
 }
 
 impl<P> Slot<P> {
@@ -359,7 +312,6 @@ impl<P: Send> SessionScheduler<P> {
                 recording: false,
                 recorded: Vec::new(),
                 outcome: None,
-                baseline: None,
             },
         );
         id
@@ -525,45 +477,11 @@ impl<P: Send> SessionScheduler<P> {
         total
     }
 
-    /// Snapshots a session for [`SessionScheduler::restore`]. The
-    /// checkpoint embeds the session's current [`BaselineSnapshot`] (if one
-    /// was ever taken via [`SessionScheduler::rebaseline`]), so restores
-    /// replay only the steps since the baseline.
+    /// Snapshots a session for [`SessionScheduler::restore`].
     pub fn checkpoint(&self, id: SessionId) -> Option<ExecutionCheckpoint> {
         self.slots.get(&id).map(|slot| {
-            let mut checkpoint =
-                ExecutionCheckpoint::capture(slot.steps, slot.rounds, &slot.execution.status());
-            checkpoint.baseline = slot.baseline.clone();
-            checkpoint
+            ExecutionCheckpoint::capture(slot.steps, slot.rounds, &slot.execution.status())
         })
-    }
-
-    /// Refreshes the session's replay baseline from the execution's native
-    /// state snapshot, so subsequent checkpoints replay only steps taken
-    /// after *now*. Returns `true` if a baseline was captured; `false` when
-    /// the session does not exist or its execution has no native snapshot
-    /// support (such sessions keep replaying from step zero).
-    pub fn rebaseline(&mut self, id: SessionId) -> bool {
-        let Some(slot) = self.slots.get_mut(&id) else {
-            return false;
-        };
-        // An errored session's outcome lives outside the execution's state
-        // (only the failing replay step can reproduce it), so it keeps its
-        // from-zero replay checkpoint.
-        if matches!(slot.outcome, Some(Err(_))) {
-            return false;
-        }
-        match slot.execution.snapshot() {
-            Some(state) => {
-                slot.baseline = Some(BaselineSnapshot {
-                    steps: slot.steps,
-                    rounds: slot.rounds,
-                    state,
-                });
-                true
-            }
-            None => false,
-        }
     }
 
     /// Restores a checkpoint onto a freshly started execution: admits it as
@@ -594,19 +512,6 @@ impl<P: Send> SessionScheduler<P> {
         }
         let id = self.admit(execution, payload);
         let slot = self.slots.get_mut(&id).expect("just admitted");
-        // Fast-forward to the checkpoint's baseline when it carries one and
-        // the fresh execution accepts it; otherwise fall back to replaying
-        // from step zero. Either path lands on the same state — the
-        // validation below guards both equally.
-        if let Some(baseline) = &checkpoint.baseline {
-            if baseline.steps <= checkpoint.steps
-                && slot.execution.restore_snapshot(&baseline.state).is_ok()
-            {
-                slot.steps = baseline.steps;
-                slot.rounds = baseline.rounds;
-                slot.baseline = Some(baseline.clone());
-            }
-        }
         // Replay ignores goals and pausing: the cursor, not policy, decides
         // how far to go. It stops at the outcome, since live sweeps never
         // step a slot past it: a checkpoint claiming more steps was not
@@ -615,17 +520,9 @@ impl<P: Send> SessionScheduler<P> {
         while slot.steps < checkpoint.steps && slot.outcome.is_none() {
             slot.step(hook);
         }
-        // A baseline taken at (or after) the finishing step leaves no replay
-        // step to surface the final report; harvest it directly — stepping a
-        // finished execution re-returns `Finished` without advancing.
-        if slot.outcome.is_none() && slot.execution.status().finished {
-            if let Ok(StepOutcome::Finished(report)) = slot.execution.step_round() {
-                slot.outcome = Some(Ok(report));
-            }
-        }
         let replayed =
             ExecutionCheckpoint::capture(slot.steps, slot.rounds, &slot.execution.status());
-        if !replayed.same_counters(checkpoint) {
+        if replayed != *checkpoint {
             self.slots.remove(&id);
             return Err(RestoreError::Diverged {
                 expected: Box::new(checkpoint.clone()),
@@ -782,102 +679,28 @@ mod tests {
     }
 
     #[test]
-    fn rebaselined_checkpoints_restore_byte_identically_with_short_replays() {
-        // Same differential pin as the replay-from-zero test, but with a
-        // baseline refreshed mid-run: the restore must fast-forward to the
-        // baseline (cheap) and still finish byte-identically.
-        let reference = reference_report(7);
-        let mut live: SessionScheduler = SessionScheduler::new(5);
-        let id = live.admit(start(7), ());
-        live.set_goal(id, Goal::Rounds(3));
-        live.drive(id, &no_hook);
-        assert!(live.rebaseline(id), "pipeline supports native snapshots");
-        live.set_goal(id, Goal::Rounds(6));
-        live.drive(id, &no_hook);
-        let checkpoint = live.checkpoint(id).expect("session exists");
-        let baseline = checkpoint.baseline.as_ref().expect("baseline embedded");
-        assert!(baseline.steps < checkpoint.steps);
-        assert_eq!(baseline.rounds, 3);
-
-        let mut restored: SessionScheduler = SessionScheduler::new(5);
-        let id = restored
-            .restore(start(7), (), &checkpoint, &no_hook)
-            .expect("baseline restore validates");
-        assert_eq!(restored.view(id).unwrap().steps, checkpoint.steps);
-        restored.set_goal(id, Goal::Complete);
-        restored.drive(id, &no_hook);
-        let report = restored.outcome(id).expect("done").as_ref().expect("ok");
-        assert_eq!(report, &reference);
-        assert_eq!(
-            serde_json::to_string(report).unwrap(),
-            serde_json::to_string(&reference).unwrap()
-        );
-    }
-
-    #[test]
-    fn rebaselined_finished_sessions_restore_their_outcome_without_replay() {
-        let mut live: SessionScheduler = SessionScheduler::new(64);
-        let id = live.admit(start(5), ());
-        live.set_goal(id, Goal::Complete);
-        live.drive(id, &no_hook);
-        assert!(live.rebaseline(id));
-        let checkpoint = live.checkpoint(id).unwrap();
-        assert!(checkpoint.finished);
-        assert_eq!(
-            checkpoint.baseline.as_ref().unwrap().steps,
-            checkpoint.steps,
-            "baseline at the cursor: nothing left to replay"
-        );
-
-        let mut fresh: SessionScheduler = SessionScheduler::new(64);
-        let id = fresh
-            .restore(start(5), (), &checkpoint, &no_hook)
-            .expect("restore validates");
-        let report = fresh.outcome(id).expect("done").as_ref().expect("ok");
-        assert_eq!(report, &reference_report(5));
-    }
-
-    #[test]
     fn corrupt_baselines_fall_back_to_full_replay() {
         let mut live: SessionScheduler = SessionScheduler::new(5);
         let id = live.admit(start(7), ());
         live.set_goal(id, Goal::Rounds(4));
         live.drive(id, &no_hook);
-        live.rebaseline(id);
-        let mut checkpoint = live.checkpoint(id).unwrap();
-        // Garble the baseline's state tree: restore must ignore it, replay
-        // from step zero, and still validate.
-        checkpoint.baseline.as_mut().unwrap().state = serde::Value::Str("garbage".to_string());
+        let checkpoint = live.checkpoint(id).unwrap();
+        // Checkpoints once carried a `baseline` key. One holding garbage
+        // still parses (unknown keys are ignored), and restore replays from
+        // step zero and validates.
+        let json = serde_json::to_string(&checkpoint).unwrap();
+        let with_baseline = format!(
+            "{},\"baseline\":{{\"steps\":3,\"rounds\":1,\"state\":\"garbage\"}}}}",
+            json.strip_suffix('}').unwrap()
+        );
+        let parsed: ExecutionCheckpoint = serde_json::from_str(&with_baseline).unwrap();
+        assert_eq!(parsed, checkpoint);
         let mut fresh: SessionScheduler = SessionScheduler::new(5);
         let id = fresh
-            .restore(start(7), (), &checkpoint, &no_hook)
-            .expect("fallback replay validates");
+            .restore(start(7), (), &parsed, &no_hook)
+            .expect("replay validates");
         assert_eq!(fresh.view(id).unwrap().steps, checkpoint.steps);
-    }
-
-    #[test]
-    fn rebaseline_skips_errored_sessions() {
-        // A round budget of 1 forces a Stuck/RoundLimit error quickly.
-        let mut scheduler: SessionScheduler = SessionScheduler::new(8);
-        let execution = PaperPipeline
-            .start_owned(
-                &annulus(4, 2),
-                SchedulerSpec::SeededRandom(7).build(),
-                &RunOptions {
-                    round_budget: Some(1),
-                    ..RunOptions::default()
-                },
-            )
-            .expect("valid configuration");
-        let id = scheduler.admit(execution, ());
-        scheduler.set_goal(id, Goal::Complete);
-        while scheduler.sweep(&no_hook) > 0 {}
-        assert!(scheduler.outcome(id).expect("errored").is_err());
-        assert!(
-            !scheduler.rebaseline(id),
-            "errored sessions keep full replay"
-        );
-        assert!(scheduler.checkpoint(id).unwrap().baseline.is_none());
+        assert_eq!(fresh.checkpoint(id).unwrap(), checkpoint);
     }
 
     #[test]

@@ -872,7 +872,7 @@ mod tests {
             );
 
             // The failed execution stays consistent: the same error again,
-            // and the status (and the pipeline's snapshot) still answer.
+            // and the status still answers.
             let mut scheduler = SchedulerSpec::SeededRandom(7).build();
             let mut execution = algorithm.start(&shape, &mut *scheduler, &opts).unwrap();
             let mut script = FaultScript::new(plan);
@@ -890,7 +890,6 @@ mod tests {
                 status.decided + status.undecided,
                 shape.len() - script.removed()
             );
-            assert_eq!(execution.snapshot().is_some(), name == "dle+collect");
         }
     }
 

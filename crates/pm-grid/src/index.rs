@@ -79,8 +79,8 @@ impl GridRect {
     }
 
     /// Whether the rectangle contains the point. Any point may be asked
-    /// about, one restored from a client's snapshot included: the offsets
-    /// wrap instead of overflowing, and a wrapped offset is never in range.
+    /// about: the offsets wrap instead of overflowing, and a wrapped offset
+    /// is never in range.
     #[inline]
     pub fn in_bounds(&self, p: Point) -> bool {
         let q = p.q.wrapping_sub(self.min_q);

@@ -16,7 +16,7 @@
 //!   multiplexing every live session through one fair scheduler, so no
 //!   session starves another while a request pumps. The core also owns the
 //!   operational envelope: session budgets and idle-TTL eviction
-//!   ([`ServerLimits`]), interval autosave with baseline re-anchoring, and
+//!   ([`ServerLimits`]), interval autosave of replay checkpoints, and
 //!   crash recovery from a persist directory.
 //! * [`persist`] — durable checkpoint files: atomic temp-file-plus-rename
 //!   writes (never torn), a startup scan that reports corrupt files as
@@ -58,7 +58,7 @@ pub use protocol::{Request, Response, ServerStats, SessionCheckpoint, SessionSum
 pub use server::{ServerCore, ServerLimits};
 pub use telemetry::ServerTelemetry;
 pub use transport::{
-    serve, serve_stdio, serve_stdio_with, serve_tcp, serve_tcp_with, ServeOptions,
+    serve, serve_stdio, serve_stdio_with, serve_tcp, serve_tcp_with, ServeOptions, MAX_LINE_BYTES,
 };
 
 /// Test doubles shared by the unit tests.

@@ -194,7 +194,6 @@ mod tests {
                 decided: 0,
                 undecided: 7,
                 finished: false,
-                baseline: None,
             },
         }
     }

@@ -351,9 +351,8 @@ impl ServerCore {
     }
 
     /// One housekeeping sweep: evict idle sessions past their TTL, then
-    /// autosave every session that advanced since its last save (capturing
-    /// a fresh baseline first, so restore replay stays bounded by the
-    /// autosave interval instead of session age). Transports call this on
+    /// autosave every session that advanced since its last save (a
+    /// replay checkpoint of a few hundred bytes). Transports call this on
     /// the [`ServerCore::autosave_interval`] cadence and once more right
     /// before exiting. Returns `(evicted, files_written)`.
     pub fn housekeeping(&mut self) -> (usize, usize) {
@@ -389,9 +388,6 @@ impl ServerCore {
             if self.saved.get(&id) == Some(&cursor) {
                 continue;
             }
-            // Bound future replay cost before snapshotting: the saved
-            // checkpoint carries a baseline at the current cursor.
-            self.scheduler.rebaseline(id);
             let Some(checkpoint) = self.session_checkpoint(id) else {
                 continue;
             };
@@ -1090,6 +1086,30 @@ mod tests {
             Response::Done { report, .. } => assert_eq!(report, reference),
             other => panic!("expected Done, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn autosaved_checkpoints_stay_small_whatever_the_shape() {
+        // A checkpoint is replay instructions: spec, cursor and counters.
+        // When checkpoints also carried the native state, this session's
+        // file was 1 986 237 bytes.
+        let dir = temp_dir("small");
+        let mut core = ServerCore::default();
+        core.attach_persistence(&dir).unwrap();
+        let spec = ScenarioSpec::new("big", GeneratorSpec::Hexagon { radius: 57 });
+        let session = match handle(&mut core, Request::Submit { spec }).remove(0) {
+            Response::Submitted { session, .. } => session,
+            other => panic!("expected Submitted, got {other:?}"),
+        };
+        handle(&mut core, Request::Watch { session, rounds: 1 });
+        assert_eq!(core.housekeeping(), (0, 1));
+        let status = core.scheduler.status(session).unwrap();
+        assert_eq!(status.phase, Some(pm_core::api::phase::DLE));
+        let bytes = std::fs::metadata(dir.join(format!("session-{session}.json")))
+            .unwrap()
+            .len();
+        assert!(bytes <= 1024, "the checkpoint file holds {bytes} bytes");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

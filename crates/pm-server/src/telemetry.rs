@@ -85,6 +85,9 @@ pub struct ServerTelemetry {
     pub connection_errors: Counter,
     /// Malformed request lines answered with a protocol error.
     pub malformed_requests: Counter,
+    /// Request lines longer than the transport's line cap: answered with
+    /// an error, then the connection is closed.
+    pub oversize_lines: Counter,
     /// Time from asking for the core lock to holding it, µs.
     pub core_lock_wait_us: Histogram,
     /// Time the core lock was held, µs: requests, housekeeping, HTTP
@@ -144,6 +147,7 @@ impl ServerTelemetry {
             accept_errors: registry.counter("pm_server_accept_errors_total"),
             connection_errors: registry.counter("pm_server_connection_errors_total"),
             malformed_requests: registry.counter("pm_server_malformed_requests_total"),
+            oversize_lines: registry.counter("pm_server_oversize_lines_total"),
             core_lock_wait_us: registry.histogram("pm_server_core_lock_wait_us", LOCK_US_BOUNDS),
             core_lock_hold_us: registry.histogram("pm_server_core_lock_hold_us", LOCK_US_BOUNDS),
             sweep_duration_us: registry.histogram("pm_server_sweep_duration_us", LATENCY_US_BOUNDS),

@@ -18,10 +18,12 @@
 //! `Mutex<ServerCore>` (the core itself pumps sessions fairly, so one
 //! client's long `run` cannot starve another session — only delay the
 //! other client's next response). Connections read with a short timeout so
-//! every thread notices shutdown promptly. `accept` blocks: whoever raises
-//! the shutdown flag wakes each listener with one connection to its own
-//! address, and repeated `accept` failures back off exponentially instead
-//! of spinning. Both transports run the core's housekeeping (autosave,
+//! every thread notices shutdown promptly, and buffer at most
+//! [`MAX_LINE_BYTES`] of one request line: a longer line is answered with
+//! an `Error` naming the limit and the connection is closed. `accept`
+//! blocks: whoever raises the shutdown flag wakes each listener with one
+//! connection to its own address, and repeated `accept` failures back off
+//! exponentially instead of spinning. Both transports run the core's housekeeping (autosave,
 //! idle-TTL eviction) on its configured cadence from a background tick
 //! thread, and once more right before exiting, so a graceful shutdown
 //! always leaves current checkpoint files behind.
@@ -30,7 +32,7 @@ use crate::protocol::{Request, Response};
 use crate::server::ServerCore;
 use crate::telemetry::{as_micros, ServerTelemetry};
 use pm_telemetry::{error, info, trace, warn, Histogram};
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,6 +52,11 @@ const BACKOFF_FLOOR: Duration = Duration::from_millis(20);
 const BACKOFF_CEILING: Duration = Duration::from_secs(1);
 /// How long the shutdown wake-up connection to a listener may take.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The longest request line, newline excluded, that a protocol connection
+/// buffers. Checkpoints are a few hundred bytes and scenario specs a few
+/// kilobytes, so only a hostile or broken client comes near it.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Serves one connection: reads requests from `input` until EOF or a
 /// `shutdown` verb, writing response lines to `output`. Returns `true` iff
@@ -101,6 +108,16 @@ fn handle_line(
             false
         }
     };
+    send(telemetry, responses, output)?;
+    Ok(shutdown)
+}
+
+/// Sends every response line of one request in one write.
+fn send(
+    telemetry: &ServerTelemetry,
+    responses: Vec<Response>,
+    output: &mut impl Write,
+) -> io::Result<()> {
     let mut batch = String::new();
     for response in responses {
         let json = serde_json::to_string(&response)
@@ -110,8 +127,7 @@ fn handle_line(
     }
     telemetry.bytes_written.add(batch.len() as u64);
     output.write_all(batch.as_bytes())?;
-    output.flush()?;
-    Ok(shutdown)
+    output.flush()
 }
 
 /// The state every connection thread shares — protocol connections and the
@@ -417,20 +433,39 @@ fn serve_stream(shared: &Shared, stream: TcpStream) -> io::Result<()> {
 }
 
 /// Serves request lines from `reader` until EOF, a `shutdown` verb (which
-/// shuts the whole server down), or shutdown raised elsewhere. A read that
-/// times out keeps its partial line until the newline arrives.
+/// shuts the whole server down), shutdown raised elsewhere, or a line
+/// longer than [`MAX_LINE_BYTES`] (answered with one `Error`, after which
+/// the connection is closed). A read that times out keeps its partial
+/// line until the newline arrives.
 fn serve_lines(
     shared: &Shared,
     mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> io::Result<()> {
-    let mut line = String::new();
+    let mut line = Vec::new();
     while !shared.shutting_down() {
-        match reader.read_line(&mut line) {
+        // One byte past the cap tells an oversize line from a full one.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break, // EOF: client hung up (possibly mid-line).
+            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") => {
+                let telemetry = &shared.telemetry;
+                telemetry.bytes_read.add(line.len() as u64);
+                telemetry.oversize_lines.inc();
+                let error = Response::Error {
+                    message: format!(
+                        "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                    ),
+                };
+                return send(telemetry, vec![error], &mut writer);
+            }
+            // A whole line, or the last one before EOF.
             Ok(_) => {
+                let text = std::str::from_utf8(&line).map_err(|_| {
+                    io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+                })?;
                 let handle = |request, out: &mut Vec<Response>| shared.lock().handle(request, out);
-                if handle_line(&shared.telemetry, &line, handle, &mut writer)? {
+                if handle_line(&shared.telemetry, text, handle, &mut writer)? {
                     shared.shut_down();
                 }
                 line.clear();
@@ -551,6 +586,73 @@ mod tests {
                 "{name} counted {count} of {REQUESTS}"
             );
         }
+    }
+
+    /// Yields its chunks in order and times out before each one, the way
+    /// a TCP read with a timeout does while the client pauses.
+    struct Stutter {
+        chunks: Vec<Vec<u8>>,
+        paused: bool,
+    }
+
+    impl Read for Stutter {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.chunks.first_mut() else {
+                return Ok(0);
+            };
+            if !self.paused {
+                self.paused = true;
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(chunk.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.chunks.remove(0);
+                self.paused = false;
+            }
+            Ok(n)
+        }
+    }
+
+    fn oversize_count(shared: &Shared) -> u64 {
+        let metrics = shared.telemetry.snapshot();
+        metrics
+            .counters
+            .iter()
+            .find(|c| c.name == "pm_server_oversize_lines_total")
+            .map_or(0, |c| c.value)
+    }
+
+    #[test]
+    fn lines_past_the_cap_get_one_error_and_close_the_connection() {
+        let shared = Shared::new(ServerCore::default(), Vec::new());
+        // A line of exactly the cap is served (as malformed), and so is a
+        // request split across read timeouts.
+        let full = "x".repeat(MAX_LINE_BYTES);
+        let chunks = [
+            format!("{full}\n\"Sess"),
+            "ions\"\n".to_string(),
+            "y".repeat(2 * MAX_LINE_BYTES),
+            "\n\"Sessions\"\n".to_string(),
+        ];
+        let reader = Stutter {
+            chunks: chunks.map(String::into_bytes).to_vec(),
+            paused: false,
+        };
+        let mut out = Vec::new();
+        serve_lines(&shared, BufReader::new(reader), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines[0].contains("malformed request"), "{}", lines[0]);
+        assert!(lines[1].contains("Sessions"), "{}", lines[1]);
+        assert!(
+            lines[2].contains(&format!("exceeds {MAX_LINE_BYTES} bytes")),
+            "{}",
+            lines[2]
+        );
+        assert_eq!(oversize_count(&shared), 1);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Chaos suite over the real binary: SIGKILL between autosaves, torn
-//! checkpoint files, connections dropped mid-line, and a 32-client
-//! concurrency storm. The contract under every fault: an accepted session
+//! checkpoint files, connections dropped mid-line, crafted, nested and
+//! oversize request lines, and a 32-client concurrency storm. The contract under every fault: an accepted session
 //! either completes byte-identically after restart or is reported lost
 //! with a typed error — never silently corrupted.
 
+use pm_grid::builder::hexagon;
+use pm_grid::Shape;
 use pm_scenarios::{AlgorithmSpec, GeneratorSpec, ScenarioSpec};
-use pm_server::{Client, PersistDir, Request, Response, ServerProcess};
+use pm_server::{Client, Request, Response, ServerProcess, SessionCheckpoint, MAX_LINE_BYTES};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::net::TcpStream;
@@ -269,90 +271,75 @@ fn a_fault_that_removes_the_leader_fails_only_its_own_session() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The value under `key` of a JSON object.
-fn entry<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
-    let serde::Value::Object(entries) = value else {
-        panic!("`{key}`: not an object");
-    };
-    let (_, value) = entries
-        .iter_mut()
-        .find(|(k, _)| k == key)
-        .unwrap_or_else(|| panic!("no `{key}`"));
-    value
+/// The `Restore` line for `checkpoint` with a `baseline` in the format
+/// checkpoints carried while restore could start from a native state: a
+/// mid-DLE pipeline on `shape` whose particle 0 sits at (10⁹, 0), decided
+/// and terminated.
+fn restore_line_with_far_baseline(checkpoint: &SessionCheckpoint, shape: &Shape) -> String {
+    let far = r#"{"q":1000000000,"r":0}"#.to_string();
+    let particles: Vec<String> = shape
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let (at, status, terminated) = match i {
+                0 => (far.clone(), "Follower", true),
+                _ => (serde_json::to_string(&p).unwrap(), "Undecided", false),
+            };
+            format!(
+                r#"{{"head":{at},"tail":{at},"memory":{{"status":"{status}","outer":[false,false,false,false,false,false],"eligible":[true,true,true,true,true,true]}},"terminated":{terminated}}}"#
+            )
+        })
+        .collect();
+    let flags = vec!["false"; particles.len()].join(",");
+    let execution = &checkpoint.execution;
+    let baseline = format!(
+        r#""baseline":{{"steps":{steps},"rounds":{rounds},"state":{{"state":"run-dle","reports":[{{"name":"obd","rounds":{obd},"activations":0,"moves":0}}],"obd_ran":true,"dle":null,"collect":null,"done":null,"runner":{{"system":{{"particles":[{particles}],"removed":[{flags}],"parked":[{flags}],"expansions":0,"contractions":0,"handovers":0}},"stats":{{"rounds":{rounds},"activations":{n},"expansions":0,"contractions":0,"handovers":0,"ever_disconnected":false,"disconnected_rounds":0,"final_connected":null}},"scheduler":{{"Rng":[1,2,3,4]}}}}}}}}"#,
+        steps = execution.steps,
+        rounds = execution.rounds,
+        obd = execution.total_rounds - execution.rounds_in_phase,
+        particles = particles.join(","),
+        n = shape.len(),
+    );
+    let line = serde_json::to_string(&Request::Restore {
+        checkpoint: checkpoint.clone(),
+    })
+    .unwrap();
+    // The execution object closes the line, inside the checkpoint, the
+    // verb and the request.
+    let open = line
+        .strip_suffix("}}}}")
+        .expect("execution closes the line");
+    format!("{open},{baseline}}}}}}}}}")
 }
 
-/// A client picks every byte of a `Restore`. A baseline whose particle
-/// sits 10⁹ cells away used to be accepted, and the session's Collect
-/// then asked for 144 GB and aborted the server with every session in
-/// it; a step count inflated past the run's end was replayed step by step
-/// under the core lock. Now the baseline is refused, the checkpoint
-/// replays from step zero to the same report, the inflated count is
-/// rejected at once, and other connections keep being served.
+/// A client picks every byte of a `Restore`. Checkpoints used to carry a
+/// native-state `baseline`, and one whose particle sat 10⁹ cells away
+/// aborted the server with every session in it; a step count inflated
+/// past the run's end was replayed step by step under the core lock. Now
+/// restore only replays the checkpoint's steps: the parent-format baseline
+/// is ignored and the session comes back with the original report, the
+/// inflated count is rejected at once, and other connections keep being
+/// served.
 #[test]
 fn crafted_restore_checkpoints_neither_abort_nor_stall_the_server() {
-    let dir = temp_dir("crafted-restore");
-    let dir_arg = dir.display().to_string();
-    let server = serve(&[
-        "--tcp",
-        "127.0.0.1:0",
-        "--threads",
-        "2",
-        "--persist-dir",
-        &dir_arg,
-        "--autosave-ms",
-        "50",
-    ]);
+    let server = serve(&["--tcp", "127.0.0.1:0", "--threads", "2"]);
     let mut client = server.connect().expect("connect");
     let spec = ScenarioSpec::new("crafted", GeneratorSpec::Hexagon { radius: 3 });
     let session = submit(&mut client, &spec);
     client
         .request(&Request::Watch { session, rounds: 1 })
         .expect("watch answers");
-    // The autosave rebaselines the session before saving it; wait for the
-    // save taken mid-DLE, after the watched round.
-    let in_dle = serde::Value::Str("run-dle".to_string());
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut checkpoint = loop {
-        let saved = PersistDir::open(&dir)
-            .and_then(|persist| persist.scan())
-            .into_iter()
-            .flatten()
-            .find_map(|(_, parsed)| parsed.ok())
-            .filter(|saved| {
-                saved
-                    .execution
-                    .baseline
-                    .as_ref()
-                    .and_then(|b| b.state.get("state"))
-                    == Some(&in_dle)
-            });
-        if let Some(saved) = saved {
-            break saved;
-        }
-        assert!(Instant::now() < deadline, "no mid-DLE autosave within 20s");
-        std::thread::sleep(Duration::from_millis(10));
+    let mut checkpoint = match client.request(&Request::Checkpoint { session }) {
+        Ok(Response::Checkpointed { checkpoint, .. }) => checkpoint,
+        other => panic!("expected Checkpointed, got {other:?}"),
     };
+    assert_eq!(checkpoint.execution.phase.as_deref(), Some("dle"));
     let original = run_report(&mut client, session);
 
-    let baseline = checkpoint.execution.baseline.as_mut().expect("filtered");
-    let serde::Value::Array(particles) = entry(
-        entry(entry(&mut baseline.state, "runner"), "system"),
-        "particles",
-    ) else {
-        panic!("particles serialize to an array");
-    };
-    let far = serde_json::from_str::<serde::Value>(r#"{"q":1000000000,"r":0}"#).unwrap();
-    let particle = &mut particles[0];
-    *entry(particle, "head") = far.clone();
-    *entry(particle, "tail") = far;
-    *entry(entry(particle, "memory"), "status") = serde::Value::Str("Follower".to_string());
-    *entry(particle, "terminated") = serde::Value::Bool(true);
-
     let mut restorer = server.connect().expect("connect");
-    let restored = match restorer.request(&Request::Restore {
-        checkpoint: checkpoint.clone(),
-    }) {
-        Ok(Response::Restored { session, steps, .. }) => {
+    let line = restore_line_with_far_baseline(&checkpoint, &hexagon(3));
+    let restored = match restorer.send(&line).expect("an answer").pop() {
+        Some((_, Response::Restored { session, steps, .. })) => {
             assert_eq!(steps, checkpoint.execution.steps);
             session
         }
@@ -360,7 +347,6 @@ fn crafted_restore_checkpoints_neither_abort_nor_stall_the_server() {
     };
     assert_eq!(run_report(&mut restorer, restored), original);
 
-    checkpoint.execution.baseline = None;
     checkpoint.execution.steps += 1_000_000;
     let started = Instant::now();
     match restorer.request(&Request::Restore { checkpoint }) {
@@ -376,7 +362,51 @@ fn crafted_restore_checkpoints_neither_abort_nor_stall_the_server() {
         other => panic!("expected Sessions, got {other:?}"),
     }
     server.shutdown().expect("clean shutdown");
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client that never sends a newline used to grow its connection
+/// thread's line buffer without limit. Past `MAX_LINE_BYTES` the server
+/// answers one `Error` naming the limit and closes the connection; other
+/// connections keep being served.
+#[test]
+fn oversize_request_lines_are_refused_and_the_connection_closed() {
+    let server = serve(&["--tcp", "127.0.0.1:0", "--threads", "2"]);
+    let hostile = TcpStream::connect(server.addr().unwrap()).expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut writer = hostile.try_clone().expect("clone");
+    // The server stops reading at the cap, so the rest of the 2 MiB may
+    // never be taken off the socket; write it from a thread that may fail.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'a'; 2 * MAX_LINE_BYTES]);
+    });
+    let mut reader = std::io::BufReader::new(hostile);
+    let mut answer = String::new();
+    reader.read_line(&mut answer).expect("an answer");
+    match serde_json::from_str::<Response>(&answer) {
+        Ok(Response::Error { message }) => {
+            assert!(
+                message.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")),
+                "{message}"
+            );
+        }
+        other => panic!("expected Error, got {other:?} from {answer:?}"),
+    }
+    // Closed: end of stream, or a reset because unread bytes were dropped.
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "{rest:?}"
+    );
+    flood.join().expect("the flood thread ends");
+
+    let mut other = server.connect().expect("connect after the hostile line");
+    match other.request(&Request::Sessions) {
+        Ok(Response::Sessions { sessions }) => assert!(sessions.is_empty()),
+        other => panic!("expected Sessions, got {other:?}"),
+    }
+    server.shutdown().expect("clean shutdown");
 }
 
 /// One line of 200 000 `[` would overflow the stack of a parser that

@@ -4,10 +4,10 @@
 //! For each row (contender × shape × scheduler, plus option, budget and
 //! fault variants) the transcript records, after every
 //! [`Execution::step_round`]: the `StepOutcome` (or the error's
-//! `Display`), `status()`, `next_round()`, whether `system()` is
-//! available, and `snapshot()`. It steps once more after `Finished` and
-//! once more after an error, and ends with the final report's per-phase
-//! profile (every row runs profiled; wall-clock time is left out).
+//! `Display`), `status()`, `next_round()` and whether `system()` is
+//! available. It steps once more after `Finished` and once more after an
+//! error, and ends with the final report's per-phase profile (every row
+//! runs profiled; wall-clock time is left out).
 //!
 //! On a mismatch the test writes the transcript it produced next to the
 //! test binary's temporary files and names the path, so the difference
@@ -158,7 +158,6 @@ fn step_line(
         ("status", execution.status().to_value()),
         ("next_round", execution.next_round().to_value()),
         ("system", Value::Bool(system)),
-        ("snapshot", execution.snapshot().to_value()),
     ]);
     serde_json::to_string(&line).expect("transcript lines serialize")
 }
