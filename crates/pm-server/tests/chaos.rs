@@ -1,8 +1,9 @@
 //! Chaos suite over the real binary: SIGKILL between autosaves, torn
 //! checkpoint files, connections dropped mid-line, crafted, nested and
-//! oversize request lines, and a 32-client concurrency storm. The contract under every fault: an accepted session
-//! either completes byte-identically after restart or is reported lost
-//! with a typed error — never silently corrupted.
+//! oversize request lines, and a 32-client concurrency storm. The
+//! contract under every fault: an accepted session either completes
+//! byte-identically after restart or is reported lost with a typed error
+//! — never silently corrupted.
 
 use pm_grid::builder::hexagon;
 use pm_grid::Shape;
@@ -285,21 +286,32 @@ fn restore_line_with_far_baseline(checkpoint: &SessionCheckpoint, shape: &Shape)
                 0 => (far.clone(), "Follower", true),
                 _ => (serde_json::to_string(&p).unwrap(), "Undecided", false),
             };
-            format!(
-                r#"{{"head":{at},"tail":{at},"memory":{{"status":"{status}","outer":[false,false,false,false,false,false],"eligible":[true,true,true,true,true,true]}},"terminated":{terminated}}}"#
-            )
+            let ports = |flag: bool| format!("[{}]", vec![flag.to_string(); 6].join(","));
+            let memory = format!(
+                r#"{{"status":"{status}","outer":{},"eligible":{}}}"#,
+                ports(false),
+                ports(true)
+            );
+            format!(r#"{{"head":{at},"tail":{at},"memory":{memory},"terminated":{terminated}}}"#)
         })
         .collect();
-    let flags = vec!["false"; particles.len()].join(",");
+    let particles = particles.join(",");
+    let flags = vec!["false"; shape.len()].join(",");
     let execution = &checkpoint.execution;
-    let baseline = format!(
-        r#""baseline":{{"steps":{steps},"rounds":{rounds},"state":{{"state":"run-dle","reports":[{{"name":"obd","rounds":{obd},"activations":0,"moves":0}}],"obd_ran":true,"dle":null,"collect":null,"done":null,"runner":{{"system":{{"particles":[{particles}],"removed":[{flags}],"parked":[{flags}],"expansions":0,"contractions":0,"handovers":0}},"stats":{{"rounds":{rounds},"activations":{n},"expansions":0,"contractions":0,"handovers":0,"ever_disconnected":false,"disconnected_rounds":0,"final_connected":null}},"scheduler":{{"Rng":[1,2,3,4]}}}}}}}}"#,
-        steps = execution.steps,
-        rounds = execution.rounds,
-        obd = execution.total_rounds - execution.rounds_in_phase,
-        particles = particles.join(","),
-        n = shape.len(),
+    let (steps, rounds, n) = (execution.steps, execution.rounds, shape.len());
+    let obd = execution.total_rounds - execution.rounds_in_phase;
+    let system = format!(
+        r#"{{"particles":[{particles}],"removed":[{flags}],"parked":[{flags}],"expansions":0,"contractions":0,"handovers":0}}"#
     );
+    let stats = format!(
+        r#"{{"rounds":{rounds},"activations":{n},"expansions":0,"contractions":0,"handovers":0,"ever_disconnected":false,"disconnected_rounds":0,"final_connected":null}}"#
+    );
+    let runner =
+        format!(r#"{{"system":{system},"stats":{stats},"scheduler":{{"Rng":[1,2,3,4]}}}}"#);
+    let state = format!(
+        r#"{{"state":"run-dle","reports":[{{"name":"obd","rounds":{obd},"activations":0,"moves":0}}],"obd_ran":true,"dle":null,"collect":null,"done":null,"runner":{runner}}}"#
+    );
+    let baseline = format!(r#"{{"steps":{steps},"rounds":{rounds},"state":{state}}}"#);
     let line = serde_json::to_string(&Request::Restore {
         checkpoint: checkpoint.clone(),
     })
@@ -309,17 +321,17 @@ fn restore_line_with_far_baseline(checkpoint: &SessionCheckpoint, shape: &Shape)
     let open = line
         .strip_suffix("}}}}")
         .expect("execution closes the line");
-    format!("{open},{baseline}}}}}}}}}")
+    format!(r#"{open},"baseline":{baseline}}}}}}}}}"#)
 }
 
 /// A client picks every byte of a `Restore`. Checkpoints used to carry a
 /// native-state `baseline`, and one whose particle sat 10⁹ cells away
 /// aborted the server with every session in it; a step count inflated
 /// past the run's end was replayed step by step under the core lock. Now
-/// restore only replays the checkpoint's steps: the parent-format baseline
-/// is ignored and the session comes back with the original report, the
-/// inflated count is rejected at once, and other connections keep being
-/// served.
+/// restore only replays the checkpoint's steps: the baseline, in the
+/// format older servers wrote, is ignored and the session comes back
+/// with the original report, the inflated count is rejected at once, and
+/// other connections keep being served.
 #[test]
 fn crafted_restore_checkpoints_neither_abort_nor_stall_the_server() {
     let server = serve(&["--tcp", "127.0.0.1:0", "--threads", "2"]);
