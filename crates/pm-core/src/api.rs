@@ -91,7 +91,7 @@ use pm_amoebot::algorithm::Algorithm;
 use pm_amoebot::scheduler::{RunError, Runner, Scheduler, SeededRandom};
 use pm_amoebot::stats::RunStats;
 use pm_amoebot::system::{OccupancyBackend, ParticleSystem, SystemControl};
-use pm_grid::{Point, Shape};
+use pm_grid::{GridIndex, Point, Shape};
 use pm_telemetry::trace;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -1223,12 +1223,20 @@ impl Contender for Pipeline {
         rounds
     }
 
+    /// The final configuration is Collect's placement, whose connectivity
+    /// Collect has checked, or DLE's, checked here: one check of the final
+    /// configuration per election.
     fn finish(&self, report: &mut RunReport, _shape: &Shape) {
-        if let Some(collect) = &self.collect {
-            report.final_positions = collect.final_positions.clone();
+        match &self.collect {
+            Some(collect) => {
+                report.final_positions = collect.final_positions.clone();
+                report.final_connected = collect.final_connected;
+            }
+            None => {
+                report.final_connected = GridIndex::of_points(&report.final_positions, 0)
+                    .is_none_or(|index| index.is_connected());
+            }
         }
-        report.final_connected =
-            Shape::from_points(report.final_positions.iter().copied()).is_connected();
     }
 }
 

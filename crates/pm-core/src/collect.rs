@@ -29,9 +29,15 @@
 //! breadcrumb invariant, the doubling behaviour (Corollary 22), the final
 //! connectivity (Theorem 23) and the `O(D_G)` round total are all preserved
 //! and tested.
+//!
+//! The simulator keeps one count of particles per grid distance, so a
+//! phase moves the counts of its annulus in `O(k)` time, and the final
+//! placement writes each ring's arc without building the whole ring. The
+//! final connectivity check searches a dense [`GridIndex`] of that
+//! placement; it is the one check of the election's final configuration,
+//! and the pipeline's report reuses it.
 
-use pm_grid::{Point, Shape};
-use std::collections::BTreeMap;
+use pm_grid::{GridIndex, Point, Shape};
 
 /// Round cost of primitive OMP for a stem of size `k` (Lemma 24: `O(k)`; the
 /// constant 2 reflects the pipelined expansion pass plus contraction pass).
@@ -98,13 +104,13 @@ impl CollectOutcome {
 #[derive(Clone, Debug)]
 pub struct CollectSimulator {
     leader: Point,
-    /// Grid distance (from the leader) of every non-leader particle that has
-    /// not been collected yet, as a multiset keyed by distance.
-    uncollected: BTreeMap<u32, usize>,
-    /// Number of collected particles assigned to each grid distance
-    /// ("ring"); collected particles keep the distance at which they were
-    /// collected, exactly as branch particles do in the paper.
-    collected: BTreeMap<u32, usize>,
+    /// Per grid distance from the leader, the non-leader particles not
+    /// collected yet (indices `0..=eccentricity`).
+    uncollected: Vec<usize>,
+    /// Per grid distance, the collected particles assigned to it ("ring");
+    /// collected particles keep the distance at which they were collected,
+    /// exactly as branch particles do in the paper.
+    collected: Vec<usize>,
     eccentricity: u32,
 }
 
@@ -113,26 +119,27 @@ impl CollectSimulator {
     /// particles after DLE (the leader's own position may be included or
     /// omitted; it is handled either way).
     pub fn new(leader: Point, particle_positions: &[Point]) -> CollectSimulator {
-        let mut uncollected: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut eccentricity = 0;
+        let mut uncollected = vec![0usize];
         let mut leader_seen = false;
         for p in particle_positions {
-            let d = leader.grid_distance(*p);
-            eccentricity = eccentricity.max(d);
+            let d = leader.grid_distance(*p) as usize;
             if d == 0 && !leader_seen {
                 // The leader itself: collected from the start.
                 leader_seen = true;
                 continue;
             }
-            *uncollected.entry(d).or_insert(0) += 1;
+            if d >= uncollected.len() {
+                uncollected.resize(d + 1, 0);
+            }
+            uncollected[d] += 1;
         }
-        let mut collected = BTreeMap::new();
-        collected.insert(0, 1);
+        let mut collected = vec![0usize; uncollected.len()];
+        collected[0] = 1;
         CollectSimulator {
             leader,
+            eccentricity: (uncollected.len() - 1) as u32,
             uncollected,
             collected,
-            eccentricity,
         }
     }
 
@@ -149,11 +156,7 @@ impl CollectSimulator {
     /// Whether the input satisfies Lemma 19's breadcrumb property: at least
     /// one particle at every grid distance `1..=ε_G(l)` from the leader.
     pub fn has_breadcrumbs(&self) -> bool {
-        (1..=self.eccentricity).all(|d| {
-            self.uncollected.get(&d).copied().unwrap_or(0)
-                + self.collected.get(&d).copied().unwrap_or(0)
-                > 0
-        })
+        (1..self.uncollected.len()).all(|d| self.uncollected[d] + self.collected[d] > 0)
     }
 
     /// Runs Algorithm Collect and returns the outcome.
@@ -162,6 +165,7 @@ impl CollectSimulator {
         let mut rounds = 0u64;
         let mut stem = 1usize;
         let mut index = 0usize;
+        let mut total_collected: usize = self.collected.iter().sum();
         loop {
             index += 1;
             let k = stem as u64;
@@ -172,14 +176,12 @@ impl CollectSimulator {
             // (Lemma 21): every uncollected particle in that annulus is
             // collected and keeps its distance (it becomes a stem or branch
             // particle at that distance).
-            let lo = stem as u32;
-            let hi = (2 * stem - 1) as u32;
+            let hi = (2 * stem - 1).min(self.uncollected.len() - 1);
             let mut newly = 0usize;
-            let in_range: Vec<u32> = self.uncollected.range(lo..=hi).map(|(d, _)| *d).collect();
-            for d in in_range {
-                let count = self.uncollected.remove(&d).unwrap_or(0);
+            for d in stem..=hi {
+                let count = std::mem::take(&mut self.uncollected[d]);
                 newly += count;
-                *self.collected.entry(d).or_insert(0) += count;
+                self.collected[d] += count;
             }
 
             let stem_start = stem;
@@ -197,7 +199,7 @@ impl CollectSimulator {
 
             // SDP: the stem doubles, capped by the number of collected
             // particles (Lemma 21: k' ∈ {min(2k, ε_G(l)), …, 2k}).
-            let total_collected: usize = self.collected.values().sum();
+            total_collected += newly;
             stem = (2 * stem).min(total_collected);
             phases.push(PhaseRecord {
                 index,
@@ -208,13 +210,16 @@ impl CollectSimulator {
             });
         }
 
-        let uncollected_remaining: usize = self.uncollected.values().sum();
+        let uncollected_remaining: usize = self.uncollected.iter().sum();
         let final_positions = self.final_placement();
-        let final_shape = Shape::from_points(final_positions.iter().copied());
+        // Stragglers sit past every collected distance, so any straggler
+        // leaves the placement disconnected.
+        let final_connected = uncollected_remaining == 0
+            && GridIndex::of_points(&final_positions, 0).is_none_or(|index| index.is_connected());
         CollectOutcome {
             rounds,
             phases,
-            final_connected: final_shape.is_connected() && uncollected_remaining == 0,
+            final_connected,
             final_positions,
             uncollected_remaining,
             eccentricity: self.eccentricity,
@@ -229,21 +234,21 @@ impl CollectSimulator {
     /// the breadcrumb precondition is violated) keep a far-away placeholder
     /// position so the connectivity check reports the failure.
     fn final_placement(&self) -> Vec<Point> {
-        let mut out = Vec::new();
-        for (&d, &count) in &self.collected {
-            let ring = self.leader.ring(d);
+        let total = self.collected.iter().chain(&self.uncollected).sum();
+        let mut out = Vec::with_capacity(total);
+        for (d, &count) in self.collected.iter().enumerate() {
             debug_assert!(
-                count <= ring.len(),
+                count <= (6 * d).max(1),
                 "ring {d} holds {count} particles but has only {} points",
-                ring.len()
+                (6 * d).max(1)
             );
-            out.extend(ring.into_iter().take(count));
+            out.extend(self.leader.ring_points(d as u32).take(count));
         }
         // Stragglers (precondition violations) are reported by keeping them
         // at an arbitrary distant location per distance class.
-        for (&d, &count) in &self.uncollected {
-            let ring = self.leader.ring(d + 2 * self.eccentricity + 4);
-            out.extend(ring.into_iter().take(count));
+        for (d, &count) in self.uncollected.iter().enumerate() {
+            let radius = d as u32 + 2 * self.eccentricity + 4;
+            out.extend(self.leader.ring_points(radius).take(count));
         }
         out
     }

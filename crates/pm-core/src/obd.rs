@@ -25,14 +25,22 @@
 //! Segments are simulated explicitly; the token trains inside one comparison
 //! are charged their pipelined round cost (`C_CMP · |initiator|`, the
 //! `(2 k_c + 5) l` bound of Lemma 35) through a discrete-event timeline
-//! instead of being forwarded hop by hop. The winner rule (smaller segment
+//! instead of being forwarded hop by hop. The timeline pops merges from a
+//! min-heap keyed by completion round, ties to the lowest tail, so it
+//! runs in `O(L log L)` time on a ring of `L` v-nodes; what it charges is
+//! the earliest-completing merge first, exactly as a scan of every segment
+//! before each merge would pick. The winner rule (smaller segment
 //! wins), the stable configurations, the ±6 decision rule, the outer-token
 //! walk and the flooding are all implemented as in the paper and validated
 //! against the geometric ground truth in the tests.
 
-use pm_grid::{boundary_rings_with_analysis, BoundaryKind, BoundaryRing, Point, Shape};
+use pm_grid::{
+    boundary_rings_with_analysis, BoundaryCount, BoundaryKind, BoundaryRing, LocalBoundary, Point,
+    Shape, ShapeAnalysis,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Round-cost constant per unit of comparison work (the paper's `k_c`
 /// appears as `2 k_c + 5` in Lemma 35; we fold it into one constant).
@@ -71,24 +79,6 @@ impl CompetitionCostModel {
     }
 }
 
-/// A segment of consecutive v-nodes during the competition.
-#[derive(Clone, Debug)]
-struct Segment {
-    /// Boundary counts of the segment's v-nodes, tail to head (clockwise).
-    label: Vec<i32>,
-    /// Ring indices of the segment's v-nodes, tail to head.
-    members: Vec<usize>,
-    /// Discrete-event time at which this segment is ready for its next
-    /// expansion attempt.
-    ready_at: u64,
-}
-
-impl Segment {
-    fn key(&self) -> (usize, &[i32]) {
-        (self.label.len(), self.label.as_slice())
-    }
-}
-
 /// The decision OBD reached for one global boundary.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BoundaryDecision {
@@ -116,10 +106,10 @@ pub struct ObdOutcome {
     pub rounds: u64,
     /// The per-boundary decisions.
     pub decisions: Vec<BoundaryDecision>,
-    /// For every particle point, the computed `outer[0..5]` flags: entry `i`
-    /// is `true` iff the neighbour in clockwise direction `i` is an empty
-    /// point of the outer face.
-    pub outer_flags: HashMap<Point, [bool; 6]>,
+    /// For every particle point, in [`Shape::iter`] order, the computed
+    /// `outer[0..5]` flags: entry `i` is `true` iff the neighbour in
+    /// clockwise direction `i` is an empty point of the outer face.
+    pub outer_flags: Vec<[bool; 6]>,
     /// Rounds spent in each part, for reporting: `(competition,
     /// stability check, outer walk, flooding)`.
     pub round_breakdown: (u64, u64, u64, u64),
@@ -157,14 +147,19 @@ impl ObdSimulator {
     /// [`CompetitionCostModel::Sequential`] variant reproduces the behaviour
     /// of the unpipelined boundary-election baselines.
     pub fn run_with_cost_model(&self, cost_model: CompetitionCostModel) -> ObdOutcome {
-        let analysis = self.shape.analyze();
-        let rings = boundary_rings_with_analysis(&self.shape, &analysis);
+        Self::run_on(&self.shape, cost_model)
+    }
+
+    /// Runs the primitive on `shape`: the body of
+    /// [`ObdSimulator::run_with_cost_model`], which [`run_obd`] calls without
+    /// cloning the shape into a simulator.
+    fn run_on(shape: &Shape, cost_model: CompetitionCostModel) -> ObdOutcome {
+        let analysis = shape.analyze();
+        let rings = boundary_rings_with_analysis(shape, &analysis);
 
         let mut decisions = Vec::with_capacity(rings.len());
-        let mut outer_flags: HashMap<Point, [bool; 6]> = HashMap::new();
-        for p in self.shape.iter() {
-            outer_flags.insert(p, [false; 6]);
-        }
+        // The local boundaries of every v-node on a ring declared outer.
+        let mut outer: Vec<LocalBoundary> = Vec::new();
 
         let mut outer_walk_rounds = 0u64;
         let mut competition_rounds = 0u64;
@@ -186,21 +181,31 @@ impl ObdSimulator {
                 // The outer token walks the whole boundary before the
                 // termination announcement starts.
                 outer_walk_rounds = outer_walk_rounds.max(ring.len() as u64);
-                for v in ring.vnodes() {
-                    let flags = outer_flags
-                        .get_mut(&v.point)
-                        .expect("v-node points are shape points");
-                    for dir in v.local_boundary.edges() {
-                        flags[dir.index()] = true;
-                    }
-                }
+                outer.extend(ring.vnodes().iter().map(|v| v.local_boundary));
             }
             decisions.push(decision);
         }
 
+        // Every particle marks the edges of its local boundaries on an outer
+        // ring: one merge of the sorted v-nodes with the shape's points.
+        outer.sort_unstable_by_key(LocalBoundary::point);
+        let mut outer = outer.into_iter().peekable();
+        let outer_flags = shape
+            .iter()
+            .map(|p| {
+                let mut flags = [false; 6];
+                while let Some(lb) = outer.next_if(|lb| lb.point() == p) {
+                    for dir in lb.edges() {
+                        flags[dir.index()] = true;
+                    }
+                }
+                flags
+            })
+            .collect();
+
         // Flooding: the announcement starts from the outer-boundary particles
         // and reaches every particle along shape edges.
-        let flooding_rounds = self.flooding_rounds(&analysis);
+        let flooding_rounds = Self::flooding_rounds(&analysis);
 
         let rounds = competition_rounds + stability_rounds + outer_walk_rounds + flooding_rounds;
         ObdOutcome {
@@ -220,61 +225,7 @@ impl ObdSimulator {
     /// the decision for that boundary.
     fn compete_on_ring(ring: &BoundaryRing, cost_model: CompetitionCostModel) -> BoundaryDecision {
         let counts = ring.counts();
-        let n = counts.len();
-        // Initially every v-node is a segment of length one (its own head and
-        // tail), ready at time zero.
-        let mut segments: Vec<Segment> = (0..n)
-            .map(|i| Segment {
-                label: vec![counts[i]],
-                members: vec![i],
-                ready_at: 0,
-            })
-            .collect();
-
-        // Repeatedly let a strictly smaller segment beat and absorb its
-        // clockwise successor. The discrete-event timeline charges each
-        // merge `CMP_COST · |winner|` (pipelined comparison, Lemma 31) plus
-        // `ABSORB_COST · |loser|` for the loser's v-nodes to defect and be
-        // re-absorbed; merges on disjoint parts of the ring overlap in time,
-        // which the `max` of ready times captures.
-        let mut stable_round = 0u64;
-        loop {
-            if segments.len() <= 1 {
-                break;
-            }
-            // Find the winning merge with the earliest completion time.
-            let mut best: Option<(usize, u64)> = None;
-            for i in 0..segments.len() {
-                let j = (i + 1) % segments.len();
-                let s = &segments[i];
-                let s1 = &segments[j];
-                if s.key() < s1.key() {
-                    let done = s.ready_at.max(s1.ready_at)
-                        + cost_model.comparison_rounds(s.label.len(), s1.label.len())
-                        + ABSORB_COST * s1.label.len() as u64;
-                    if best.is_none_or(|(_, t)| done < t) {
-                        best = Some((i, done));
-                    }
-                }
-            }
-            let Some((i, done)) = best else {
-                // No segment is strictly smaller than its successor: on a
-                // ring this means all segments are equal — the boundary is
-                // stable.
-                break;
-            };
-            let j = (i + 1) % segments.len();
-            let loser = segments.remove(j);
-            // Removing index j may shift the winner's index.
-            let winner_idx = if j < i { i - 1 } else { i };
-            let winner = &mut segments[winner_idx];
-            winner.label.extend(loser.label);
-            winner.members.extend(loser.members);
-            winner.ready_at = done;
-            stable_round = stable_round.max(done);
-        }
-
-        let stable_segments = segments.len();
+        let (stable_segments, stable_round) = compete(&counts, cost_model);
         let count_sum: i64 = counts.iter().map(|c| *c as i64).sum();
         // The algorithm's decision: a boundary is the outer one iff the total
         // count sum is positive (+6 on stable multi-point boundaries, +4 for
@@ -292,7 +243,7 @@ impl ObdSimulator {
 
     /// Rounds needed to flood the termination announcement from the outer
     /// boundary to every particle (at most the shape's diameter).
-    fn flooding_rounds(&self, analysis: &pm_grid::ShapeAnalysis) -> u64 {
+    fn flooding_rounds(analysis: &ShapeAnalysis) -> u64 {
         if analysis.outer_boundary().is_empty() {
             return 0;
         }
@@ -327,26 +278,106 @@ impl ObdSimulator {
         }
     }
 
-    /// The ground-truth outer flags from the geometric analysis, for
-    /// verification in tests and experiments.
-    pub fn ground_truth_flags(&self) -> HashMap<Point, [bool; 6]> {
+    /// The ground-truth outer flags from the geometric analysis, in
+    /// [`Shape::iter`] order, for verification in tests and experiments.
+    pub fn ground_truth_flags(&self) -> Vec<[bool; 6]> {
         let analysis = self.shape.analyze();
-        let mut flags = HashMap::new();
-        for p in self.shape.iter() {
-            let mut f = [false; 6];
-            for (i, d) in pm_grid::DIRECTIONS.iter().enumerate() {
-                let n = p.neighbor(*d);
-                f[i] = !self.shape.contains(n) && analysis.is_outer_face_point(n);
-            }
-            flags.insert(p, f);
-        }
-        flags
+        self.shape
+            .iter()
+            .map(|p| {
+                let mut f = [false; 6];
+                for (i, d) in pm_grid::DIRECTIONS.iter().enumerate() {
+                    let n = p.neighbor(*d);
+                    f[i] = !self.shape.contains(n) && analysis.is_outer_face_point(n);
+                }
+                f
+            })
+            .collect()
     }
+}
+
+/// The segment competition of Section 5.3 on a ring of boundary counts
+/// (in clockwise-successor order). Returns `(stable_segments,
+/// stable_round)`: how many equal segments cover the ring once no segment
+/// beats its successor, and the discrete-event round of the last merge.
+///
+/// Every v-node starts as a segment of its own, ready at round zero. A
+/// segment whose `(length, label)` is strictly smaller than its clockwise
+/// successor's beats it and absorbs its v-nodes. The timeline charges the
+/// merge `CMP_COST · |winner|` (pipelined comparison, Lemma 31, or the
+/// cost model's sequential price) plus `ABSORB_COST · |loser|` for the
+/// loser's v-nodes to defect and be re-absorbed, from the later of the two
+/// segments' ready rounds; merges on disjoint parts of the ring overlap in
+/// time. The merge that completes first happens first, ties going to the
+/// lowest tail.
+///
+/// A segment is its tail's ring index plus a length, and its label is the
+/// counts from the tail on. Segments stay in tail order, and a merge
+/// changes only its winner's and its winner's predecessor's next merge, so
+/// a min-heap of `(done, tail)` with stale entries skipped on pop picks
+/// each merge in `O(log L)`.
+pub fn compete(counts: &[BoundaryCount], cost_model: CompetitionCostModel) -> (usize, u64) {
+    let n = counts.len();
+    if n <= 1 {
+        return (n, 0);
+    }
+    // Labels may wrap past the ring's end; on the doubled counts every
+    // label is one slice.
+    let doubled: Vec<BoundaryCount> = counts.iter().chain(counts).copied().collect();
+    // Per tail: the segment's length (0 once absorbed), its ready round,
+    // and the tails of its neighbouring segments.
+    let mut len = vec![1usize; n];
+    let mut ready = vec![0u64; n];
+    let mut next: Vec<usize> = (1..=n).map(|i| i % n).collect();
+    let mut prev: Vec<usize> = (0..n).map(|i| (i + n - 1) % n).collect();
+    // The completion round of the merge in which `tail` beats its
+    // successor, if it does.
+    let merge = |tail: usize, len: &[usize], ready: &[u64], next: &[usize]| -> Option<u64> {
+        let succ = next[tail];
+        let (a, b) = (len[tail], len[succ]);
+        let key = |t: usize, l: usize| (l, &doubled[t..t + l]);
+        (key(tail, a) < key(succ, b)).then(|| {
+            ready[tail].max(ready[succ])
+                + cost_model.comparison_rounds(a, b)
+                + ABSORB_COST * b as u64
+        })
+    };
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..n)
+        .filter_map(|tail| merge(tail, &len, &ready, &next).map(|done| Reverse((done, tail))))
+        .collect();
+
+    let (mut segments, mut stable_round) = (n, 0u64);
+    while segments > 1 {
+        // An empty heap: no segment is strictly smaller than its
+        // successor, so on a ring all segments are equal — the boundary is
+        // stable.
+        let Some(Reverse((done, tail))) = heap.pop() else {
+            break;
+        };
+        // Stale: the segment was absorbed, or it or its successor changed.
+        if len[tail] == 0 || merge(tail, &len, &ready, &next) != Some(done) {
+            continue;
+        }
+        let loser = next[tail];
+        len[tail] += len[loser];
+        len[loser] = 0;
+        ready[tail] = done;
+        next[tail] = next[loser];
+        prev[next[tail]] = tail;
+        segments -= 1;
+        stable_round = stable_round.max(done);
+        for t in [tail, prev[tail]] {
+            if let Some(done) = merge(t, &len, &ready, &next) {
+                heap.push(Reverse((done, t)));
+            }
+        }
+    }
+    (segments, stable_round)
 }
 
 /// Convenience helper: runs OBD on a shape and returns the outcome.
 pub fn run_obd(shape: &Shape) -> ObdOutcome {
-    ObdSimulator::new(shape).run()
+    ObdSimulator::run_on(shape, CompetitionCostModel::Pipelined)
 }
 
 #[cfg(test)]
@@ -364,12 +395,9 @@ mod tests {
             outcome.unique_outer(),
             "exactly one boundary must be declared outer"
         );
-        for (p, expected) in truth {
-            assert_eq!(
-                outcome.outer_flags.get(&p),
-                Some(&expected),
-                "outer flags differ at {p}"
-            );
+        assert_eq!(outcome.outer_flags.len(), truth.len());
+        for ((p, got), expected) in shape.iter().zip(&outcome.outer_flags).zip(&truth) {
+            assert_eq!(got, expected, "outer flags differ at {p}");
         }
         outcome
     }

@@ -38,6 +38,34 @@ pub struct LocalBoundary {
     len: u8,
 }
 
+/// Per six-bit mask of empty neighbours (bit `i`: the neighbour in
+/// clockwise direction `i`), the maximal clockwise cyclic runs of empty
+/// directions as `(start, len)`, by start direction; unused slots have
+/// `len == 0`. A run starts at an empty direction whose counter-clockwise
+/// predecessor is occupied, so a point has at most three. The all-empty
+/// mask (an isolated point) is one run of all six edges from `E`.
+const RUNS: [[(u8, u8); 3]; 64] = {
+    let mut table = [[(0u8, 0u8); 3]; 64];
+    table[63][0] = (0, 6);
+    let mut mask = 1;
+    while mask < 63 {
+        let (mut slot, mut i) = (0, 0);
+        while i < 6 {
+            if (mask >> i) & 1 == 1 && (mask >> ((i + 5) % 6)) & 1 == 0 {
+                let mut len = 1;
+                while (mask >> ((i + len) % 6)) & 1 == 1 {
+                    len += 1;
+                }
+                table[mask][slot] = (i as u8, len as u8);
+                slot += 1;
+            }
+            i += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
 impl LocalBoundary {
     /// Computes all local boundaries of `point` with respect to `shape`, in
     /// clockwise order of their starting edge.
@@ -48,43 +76,28 @@ impl LocalBoundary {
         if !shape.contains(point) {
             return Vec::new();
         }
-        let empty: Vec<bool> = DIRECTIONS
+        let empty = DIRECTIONS
             .iter()
-            .map(|d| !shape.contains(point.neighbor(*d)))
-            .collect();
-        let empty_count = empty.iter().filter(|e| **e).count();
-        if empty_count == 0 {
-            return Vec::new();
-        }
-        if empty_count == 6 {
-            // Isolated point: one local boundary consisting of all six edges.
-            return vec![LocalBoundary {
+            .enumerate()
+            .filter(|(_, d)| !shape.contains(point.neighbor(**d)))
+            .fold(0u8, |mask, (i, _)| mask | 1 << i);
+        LocalBoundary::of_empty_mask(point, empty).collect()
+    }
+
+    /// The local boundaries of `point` given which of its neighbours are
+    /// empty (bit `i` of `empty` is set iff the neighbour in clockwise
+    /// direction `i` is not in the shape), in clockwise order of their
+    /// starting edge. Reads the runs from a table, so it allocates nothing;
+    /// an interior point (`empty == 0`) has none.
+    pub(crate) fn of_empty_mask(point: Point, empty: u8) -> impl Iterator<Item = LocalBoundary> {
+        RUNS[usize::from(empty & 0x3f)]
+            .into_iter()
+            .take_while(|&(_, len)| len > 0)
+            .map(move |(start, len)| LocalBoundary {
                 point,
-                start: Direction::E,
-                len: 6,
-            }];
-        }
-        // Find maximal cyclic runs of empty directions. A run starts at an
-        // empty direction whose (counter-clockwise) predecessor is occupied.
-        let mut out = Vec::new();
-        for i in 0..6usize {
-            let prev = (i + 5) % 6;
-            if empty[i] && !empty[prev] {
-                let mut len = 1u8;
-                let mut j = (i + 1) % 6;
-                while empty[j] {
-                    len += 1;
-                    j = (j + 1) % 6;
-                }
-                out.push(LocalBoundary {
-                    point,
-                    start: DIRECTIONS[i],
-                    len,
-                });
-            }
-        }
-        out.sort_by_key(|b| b.start.index());
-        out
+                start: DIRECTIONS[usize::from(start)],
+                len,
+            })
     }
 
     /// The boundary point this local boundary belongs to.

@@ -249,30 +249,23 @@ impl Point {
     /// assert!(c.ring(3).iter().all(|p| c.grid_distance(*p) == 3));
     /// ```
     pub fn ring(self, radius: u32) -> Vec<Point> {
-        if radius == 0 {
-            return vec![self];
-        }
-        let mut out = Vec::with_capacity(6 * radius as usize);
-        // Start at the point `radius` steps to the east and walk clockwise:
-        // each side of the hexagonal ring follows one direction for `radius`
-        // steps. Starting eastwards, the sides successively head SE+1 turns.
-        let mut cur = self;
-        for _ in 0..radius {
-            cur = cur.neighbor(Direction::E);
-        }
-        // Walking clockwise around the ring: the first side heads SW... We
-        // derive side directions by rotating the spoke: the side direction at
-        // a corner reached via spoke direction `d` is `d.rotate_cw(2)`.
-        let mut side_dir = Direction::E.rotate_cw(2);
-        for _side in 0..6 {
-            for _ in 0..radius {
-                out.push(cur);
-                cur = cur.neighbor(side_dir);
-            }
-            side_dir = side_dir.rotate_cw(1);
-        }
-        debug_assert_eq!(cur, out[0]);
-        out
+        self.ring_points(radius).collect()
+    }
+
+    /// The points of [`Point::ring`], in the same order, without collecting
+    /// them. The ring's `j`-th point lies `j mod radius` steps along side
+    /// `s = j / radius`, which starts `radius` steps from `self` in
+    /// direction `s` and heads two turns clockwise of it.
+    pub fn ring_points(self, radius: u32) -> impl Iterator<Item = Point> {
+        let len = if radius == 0 { 1 } else { 6 * radius as usize };
+        let side_len = radius.max(1) as usize;
+        let r = radius as i32;
+        (0..len).map(move |j| {
+            let (side, step) = (j / side_len, (j % side_len) as i32);
+            let (cq, cr) = DIRECTIONS[side].offset();
+            let (hq, hr) = DIRECTIONS[(side + 2) % 6].offset();
+            Point::new(self.q + r * cq + step * hq, self.r + r * cr + step * hr)
+        })
     }
 
     /// All points at grid distance at most `radius` from `self` (a "filled
@@ -282,7 +275,7 @@ impl Point {
     pub fn ball(self, radius: u32) -> Vec<Point> {
         let mut out = Vec::new();
         for d in 0..=radius {
-            out.extend(self.ring(d));
+            out.extend(self.ring_points(d));
         }
         out
     }
@@ -406,6 +399,11 @@ mod tests {
             let ring = c.ring(radius);
             let expected = if radius == 0 { 1 } else { 6 * radius as usize };
             assert_eq!(ring.len(), expected);
+            // It starts `radius` steps east and turns clockwise.
+            assert_eq!(ring[0], Point::new(c.q + radius as i32, c.r));
+            if radius >= 1 {
+                assert_eq!(ring[1], ring[0].neighbor(Direction::SW));
+            }
             let unique: HashSet<_> = ring.iter().copied().collect();
             assert_eq!(unique.len(), ring.len(), "ring points must be distinct");
             for p in &ring {

@@ -165,6 +165,27 @@ impl GridIndex {
         Some(index)
     }
 
+    /// Indexes `points` (a repeated point counts once) over their bounding
+    /// box expanded by `margin`. Returns `None` when there are no points.
+    pub fn of_points(points: &[Point], margin: u32) -> Option<GridIndex> {
+        let first = *points.first()?;
+        let (min, max) = points.iter().fold((first, first), |(lo, hi), p| {
+            (
+                Point::new(lo.q.min(p.q), lo.r.min(p.r)),
+                Point::new(hi.q.max(p.q), hi.r.max(p.r)),
+            )
+        });
+        let m = margin as i32;
+        let mut index = GridIndex::empty(GridRect::new(
+            Point::new(min.q - m, min.r - m),
+            Point::new(max.q + m, max.r + m),
+        ));
+        for p in points {
+            index.insert(*p);
+        }
+        Some(index)
+    }
+
     /// The underlying rectangle.
     pub fn rect(&self) -> &GridRect {
         &self.rect
@@ -254,6 +275,35 @@ impl GridIndex {
             mask[i] = self.contains(p.neighbor(*d));
         }
         mask
+    }
+
+    /// Whether the members induce a connected subgraph of the grid: a
+    /// search from the first member over the bitset reaches them all. An
+    /// index without members is connected (vacuously).
+    pub fn is_connected(&self) -> bool {
+        let Some(start) = (0..self.words.len())
+            .find(|w| self.words[*w] != 0)
+            .map(|w| w * 64 + self.words[w].trailing_zeros() as usize)
+        else {
+            return true;
+        };
+        let rect = self.rect;
+        let mut visited = vec![false; rect.cells()];
+        visited[start] = true;
+        let mut stack = vec![rect.point(start)];
+        let mut seen = 1usize;
+        while let Some(p) = stack.pop() {
+            for n in p.neighbors() {
+                if let Some(cell) = rect.cell(n) {
+                    if !visited[cell] && self.contains_cell(cell) {
+                        visited[cell] = true;
+                        seen += 1;
+                        stack.push(n);
+                    }
+                }
+            }
+        }
+        seen == self.len
     }
 
     /// Per cell, whether it is empty and on the unbounded face: joined

@@ -195,38 +195,14 @@ impl Shape {
     /// considered connected (vacuously); the paper only ever considers
     /// non-empty shapes.
     ///
-    /// Runs a BFS over a dense [`GridIndex`] (the cached one when the shape
-    /// has been analysed, a transient one otherwise) instead of hashing
-    /// every visited point.
+    /// Searches a dense [`GridIndex`] (the cached one when the shape has
+    /// been analysed, a transient one otherwise) instead of hashing every
+    /// visited point.
     pub fn is_connected(&self) -> bool {
-        let Some(start) = self.first_point() else {
-            return true;
-        };
-        let transient;
-        let index = match self.cache.get() {
-            Some(analysis) => analysis.index().expect("non-empty shape has an index"),
-            None => {
-                transient = GridIndex::of_shape(self, 0).expect("non-empty shape has an index");
-                &transient
-            }
-        };
-        let rect = *index.rect();
-        let mut visited = vec![false; rect.cells()];
-        visited[rect.cell(start).expect("shape point is in bounds")] = true;
-        let mut stack = vec![start];
-        let mut seen = 1usize;
-        while let Some(p) = stack.pop() {
-            for n in p.neighbors() {
-                if let Some(cell) = rect.cell(n) {
-                    if !visited[cell] && index.contains_cell(cell) {
-                        visited[cell] = true;
-                        seen += 1;
-                        stack.push(n);
-                    }
-                }
-            }
+        match self.cache.get() {
+            Some(analysis) => analysis.index().is_none_or(GridIndex::is_connected),
+            None => GridIndex::of_shape(self, 0).is_none_or(|index| index.is_connected()),
         }
-        seen == self.len()
     }
 
     /// The connected components of the shape, each as its own [`Shape`], in

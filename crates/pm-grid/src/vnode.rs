@@ -8,10 +8,9 @@
 //! the decision rule of the Outer-Boundary Detection primitive.
 
 use crate::boundary::{BoundaryCount, LocalBoundary};
-use crate::coords::Point;
+use crate::coords::{Direction, Point};
 use crate::shape::{BoundaryKind, Shape, ShapeAnalysis};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Identifier of a v-node within a [`BoundaryRing`]: its position along the
 /// ring in clockwise-successor order.
@@ -153,84 +152,108 @@ pub fn boundary_rings(shape: &Shape) -> Vec<BoundaryRing> {
 }
 
 /// As [`boundary_rings`], but reusing an existing [`ShapeAnalysis`].
+///
+/// Linear in the shape: each point's empty-neighbour mask is read from the
+/// analysis index, its local boundaries from a table, and a successor
+/// v-node is found through a per-cell table of each point's first v-node
+/// (a point's v-nodes are consecutive, ordered by starting edge).
 pub fn boundary_rings_with_analysis(shape: &Shape, analysis: &ShapeAnalysis) -> Vec<BoundaryRing> {
-    // Gather every v-node and index them for successor lookups.
+    let Some(index) = analysis.index() else {
+        return Vec::new();
+    };
+    // The analysis indexes the bounding box plus a margin of one cell, so
+    // every neighbour of a shape point has a cell.
+    let rect = *index.rect();
+    let offsets = rect.direction_offsets();
+    let cell_of = |p: Point| rect.cell(p).expect("shape points are in bounds");
+
+    // Every v-node, point by point in `Shape::iter` order.
     let mut vnodes: Vec<VNode> = Vec::new();
-    let mut index: HashMap<(Point, LocalBoundary), usize> = HashMap::new();
+    let mut first = vec![u32::MAX; rect.cells()];
     for p in shape.iter() {
-        for lb in LocalBoundary::of_point(shape, p) {
-            index.insert((p, lb), vnodes.len());
-            vnodes.push(VNode {
-                point: p,
-                local_boundary: lb,
-            });
+        let cell = cell_of(p);
+        let empty = offsets.iter().enumerate().fold(0u8, |mask, (i, offset)| {
+            let occupied = index.contains_cell(cell.wrapping_add_signed(*offset));
+            mask | u8::from(!occupied) << i
+        });
+        if empty != 0 {
+            first[cell] = vnodes.len() as u32;
+            vnodes.extend(
+                LocalBoundary::of_empty_mask(p, empty).map(|local_boundary| VNode {
+                    point: p,
+                    local_boundary,
+                }),
+            );
         }
     }
 
     // Successor of a v-node v(B): the v-node v'(B') where v' is the clockwise
     // successor point of v w.r.t. B and B' is v's local boundary containing
-    // the edge towards the common (unoccupied) point.
-    let successor_of = |v: &VNode| -> usize {
+    // the edge towards the common (unoccupied) point. That edge leaves v'
+    // one turn counter-clockwise of B's last edge.
+    let successor_of = |id: usize| -> usize {
         if shape.len() == 1 {
             // Degenerate single-point shape: the ring is the single v-node.
-            return index[&(v.point, v.local_boundary)];
+            return id;
         }
-        let succ_point = v.local_boundary.cw_successor_point();
-        let common = v.local_boundary.common_point_with_successor();
-        debug_assert!(shape.contains(succ_point));
-        debug_assert!(!shape.contains(common));
-        let succ_lbs = LocalBoundary::of_point(shape, succ_point);
-        let dir = crate::coords::Direction::between(succ_point, common)
-            .expect("common point is adjacent to the successor point");
-        let lb = succ_lbs
-            .into_iter()
-            .find(|b| b.contains_edge(dir))
-            .expect("successor point has a local boundary containing the common edge");
-        index[&(succ_point, lb)]
+        let lb = vnodes[id].local_boundary;
+        let succ_point = lb.cw_successor_point();
+        let dir = lb.last_edge().ccw();
+        debug_assert_eq!(
+            Direction::between(succ_point, lb.common_point_with_successor()),
+            Some(dir)
+        );
+        let succ_first = first[cell_of(succ_point)];
+        assert!(
+            succ_first != u32::MAX,
+            "successor point {succ_point} of a v-node of {} is not a boundary point",
+            lb.point()
+        );
+        let mut succ = succ_first as usize;
+        while !vnodes[succ].local_boundary.contains_edge(dir) {
+            succ += 1;
+            debug_assert_eq!(
+                vnodes[succ].point, succ_point,
+                "successor point has a local boundary containing the common edge"
+            );
+        }
+        succ
     };
 
-    // Walk successors to decompose the v-nodes into rings.
-    let mut ring_of: Vec<Option<usize>> = vec![None; vnodes.len()];
-    let mut rings: Vec<Vec<usize>> = Vec::new();
+    // Walk successors to decompose the v-nodes into rings, and classify
+    // each ring by the face its common points belong to.
+    let mut on_ring = vec![false; vnodes.len()];
+    let mut rings = Vec::new();
     for start in 0..vnodes.len() {
-        if ring_of[start].is_some() {
+        if on_ring[start] {
             continue;
         }
-        let ring_id = rings.len();
-        let mut ring = Vec::new();
+        let mut members = Vec::new();
         let mut cur = start;
         loop {
-            ring_of[cur] = Some(ring_id);
-            ring.push(cur);
-            let next = successor_of(&vnodes[cur]);
+            on_ring[cur] = true;
+            members.push(vnodes[cur]);
+            let next = successor_of(cur);
             if next == start {
                 break;
             }
             debug_assert!(
-                ring_of[next].is_none(),
+                !on_ring[next],
                 "successor walk must not enter a previously closed ring"
             );
             cur = next;
         }
-        rings.push(ring);
+        let kind = members
+            .iter()
+            .flat_map(|v| v.local_boundary.outside_points())
+            .find_map(|p| analysis.face_of_empty_point(p))
+            .unwrap_or(BoundaryKind::Outer);
+        rings.push(BoundaryRing {
+            kind,
+            vnodes: members,
+        });
     }
-
-    // Classify each ring by looking at the face its common points belong to.
     rings
-        .into_iter()
-        .map(|ids| {
-            let members: Vec<VNode> = ids.iter().map(|i| vnodes[*i]).collect();
-            let kind = members
-                .iter()
-                .flat_map(|v| v.local_boundary.outside_points())
-                .find_map(|p| analysis.face_of_empty_point(p))
-                .unwrap_or(BoundaryKind::Outer);
-            BoundaryRing {
-                kind,
-                vnodes: members,
-            }
-        })
-        .collect()
 }
 
 /// Returns the outer boundary ring of a shape (panics if the shape is empty).

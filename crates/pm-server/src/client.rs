@@ -33,7 +33,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How many times a `Busy` rejection is resent before it is returned.
 const BUSY_RESENDS: u32 = 1000;
@@ -251,14 +251,33 @@ impl ServerProcess {
     ///
     /// A failed request, an answer other than `Bye`, or an unclean exit.
     pub fn shutdown(mut self) -> Result<String, String> {
+        self.say_bye()?;
+        self.reap(None)
+    }
+
+    /// [`ServerProcess::shutdown`], but the process must exit within
+    /// `limit` of its `Bye`; past it the process is killed and the error
+    /// says so.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServerProcess::shutdown`], and an exit that takes longer than
+    /// `limit`.
+    pub fn shutdown_within(mut self, limit: Duration) -> Result<String, String> {
+        self.say_bye()?;
+        self.reap(Some(limit))
+    }
+
+    /// Sends `Shutdown` and expects `Bye`.
+    fn say_bye(&mut self) -> Result<(), String> {
         let bye = match self.stdio.as_mut() {
             Some(client) => client.request(&Request::Shutdown)?,
             None => self.connect()?.request(&Request::Shutdown)?,
         };
-        if !matches!(bye, Response::Bye) {
-            return Err(format!("expected Bye on shutdown, got {bye:?}"));
+        match bye {
+            Response::Bye => Ok(()),
+            other => Err(format!("expected Bye on shutdown, got {other:?}")),
         }
-        self.reap()
     }
 
     /// SIGKILLs the process: no shutdown verb, no flush, no final
@@ -267,13 +286,34 @@ impl ServerProcess {
         drop(self);
     }
 
-    /// Closes the pipes, waits for the exit, and collects the drained log.
-    fn reap(mut self) -> Result<String, String> {
+    /// Closes the pipes, waits for the exit (killing the process once
+    /// `limit` has passed, if one is given), and collects the drained log.
+    fn reap(mut self, limit: Option<Duration>) -> Result<String, String> {
         drop(self.stdio.take());
-        let status = self
-            .child
-            .wait()
-            .map_err(|e| format!("wait for server: {e}"))?;
+        let status = match limit {
+            None => self.child.wait(),
+            Some(limit) => {
+                let deadline = Instant::now() + limit;
+                loop {
+                    match self.child.try_wait() {
+                        Ok(None) if Instant::now() < deadline => {
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
+                        Ok(None) => {
+                            let _ = self.child.kill();
+                            let _ = self.child.wait();
+                            let log = self.drained_log();
+                            return Err(format!(
+                                "server did not exit within {limit:?} of Bye; killed\n{log}"
+                            ));
+                        }
+                        Ok(Some(status)) => break Ok(status),
+                        Err(e) => break Err(e),
+                    }
+                }
+            }
+        }
+        .map_err(|e| format!("wait for server: {e}"))?;
         let log = self.drained_log();
         if !status.success() {
             return Err(format!("server exited with {status}\n{log}"));
@@ -358,7 +398,7 @@ pub fn run_script(
             match response {
                 Response::Checkpointed { checkpoint, .. } => last_checkpoint = Some(checkpoint),
                 Response::Bye => {
-                    server.take().expect("active server").reap()?;
+                    server.take().expect("active server").reap(None)?;
                 }
                 _ => {}
             }

@@ -59,6 +59,7 @@ pub use server::{ServerCore, ServerLimits};
 pub use telemetry::ServerTelemetry;
 pub use transport::{
     serve, serve_stdio, serve_stdio_with, serve_tcp, serve_tcp_with, ServeOptions, MAX_LINE_BYTES,
+    WRITE_TIMEOUT,
 };
 
 /// Test doubles shared by the unit tests.

@@ -88,6 +88,9 @@ pub struct ServerTelemetry {
     /// Request lines longer than the transport's line cap: answered with
     /// an error, then the connection is closed.
     pub oversize_lines: Counter,
+    /// Protocol connections dropped because a write blocked past the
+    /// transport's write timeout (a client that stopped reading).
+    pub write_timeouts: Counter,
     /// Time from asking for the core lock to holding it, µs.
     pub core_lock_wait_us: Histogram,
     /// Time the core lock was held, µs: requests, housekeeping, HTTP
@@ -148,6 +151,7 @@ impl ServerTelemetry {
             connection_errors: registry.counter("pm_server_connection_errors_total"),
             malformed_requests: registry.counter("pm_server_malformed_requests_total"),
             oversize_lines: registry.counter("pm_server_oversize_lines_total"),
+            write_timeouts: registry.counter("pm_server_write_timeouts_total"),
             core_lock_wait_us: registry.histogram("pm_server_core_lock_wait_us", LOCK_US_BOUNDS),
             core_lock_hold_us: registry.histogram("pm_server_core_lock_hold_us", LOCK_US_BOUNDS),
             sweep_duration_us: registry.histogram("pm_server_sweep_duration_us", LATENCY_US_BOUNDS),

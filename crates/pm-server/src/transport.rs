@@ -20,7 +20,9 @@
 //! other client's next response). Connections read with a short timeout so
 //! every thread notices shutdown promptly, and buffer at most
 //! [`MAX_LINE_BYTES`] of one request line: a longer line is answered with
-//! an `Error` naming the limit and the connection is closed. `accept`
+//! an `Error` naming the limit and the connection is closed. A write that
+//! blocks past [`WRITE_TIMEOUT`] (a client that stopped reading) drops its
+//! connection, so no connection thread outlives shutdown. `accept`
 //! blocks: whoever raises the shutdown flag wakes each listener with one
 //! connection to its own address, and repeated `accept` failures back off
 //! exponentially instead of spinning. Both transports run the core's housekeeping (autosave,
@@ -52,6 +54,13 @@ const BACKOFF_FLOOR: Duration = Duration::from_millis(20);
 const BACKOFF_CEILING: Duration = Duration::from_secs(1);
 /// How long the shutdown wake-up connection to a listener may take.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long one write to a protocol connection may block. A client that
+/// stops reading fills its socket buffers and then stalls the write; past
+/// this the connection is dropped and counted in
+/// `pm_server_write_timeouts_total`, so its thread ends and a graceful
+/// shutdown, which joins every connection thread, still finishes.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The longest request line, newline excluded, that a protocol connection
 /// buffers. Checkpoints are a few hundred bytes and scenario specs a few
@@ -419,16 +428,23 @@ fn serve_connection(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
         // A dropped or misbehaving client is its own problem, not the
         // server's: log and keep serving.
         telemetry.connection_errors.inc();
+        // Read timeouts are polls that `serve_lines` absorbs, so a timeout
+        // that ends the connection is a write past `WRITE_TIMEOUT`.
+        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+            telemetry.write_timeouts.inc();
+        }
         warn!(LOG, "connection {peer}: {e}");
     }
 }
 
 /// Turns Nagle off and serves the stream's request lines. Reads time out
-/// after [`READ_POLL`], so the thread notices shutdown raised elsewhere.
+/// after [`READ_POLL`], so the thread notices shutdown raised elsewhere;
+/// writes time out after [`WRITE_TIMEOUT`], which drops the connection.
 fn serve_stream(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let _conn = trace::span("transport", "connection");
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_POLL))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     serve_lines(shared, BufReader::new(stream.try_clone()?), stream)
 }
 

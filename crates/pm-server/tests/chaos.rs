@@ -1,6 +1,7 @@
 //! Chaos suite over the real binary: SIGKILL between autosaves, torn
 //! checkpoint files, connections dropped mid-line, crafted, nested and
-//! oversize request lines, and a 32-client concurrency storm. The
+//! oversize request lines, clients that never read, and a 32-client
+//! concurrency storm. The
 //! contract under every fault: an accepted session either completes
 //! byte-identically after restart or is reported lost with a typed error
 //! — never silently corrupted.
@@ -8,7 +9,9 @@
 use pm_grid::builder::hexagon;
 use pm_grid::Shape;
 use pm_scenarios::{AlgorithmSpec, GeneratorSpec, ScenarioSpec};
-use pm_server::{Client, Request, Response, ServerProcess, SessionCheckpoint, MAX_LINE_BYTES};
+use pm_server::{
+    Client, Request, Response, ServerProcess, SessionCheckpoint, MAX_LINE_BYTES, WRITE_TIMEOUT,
+};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::net::TcpStream;
@@ -419,6 +422,95 @@ fn oversize_request_lines_are_refused_and_the_connection_closed() {
         other => panic!("expected Sessions, got {other:?}"),
     }
     server.shutdown().expect("clean shutdown");
+}
+
+/// Shrinks a socket's receive buffer to `bytes` (the kernel may round it
+/// up), so a peer's large write fills it after a few kilobytes.
+#[cfg(target_os = "linux")]
+fn shrink_receive_buffer(stream: &TcpStream, bytes: i32) {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+    // Linux's SOL_SOCKET and SO_RCVBUF.
+    const SOL_SOCKET: i32 = 1;
+    const SO_RCVBUF: i32 = 8;
+    // SAFETY: the descriptor is the open socket `stream` owns, and the
+    // option value is a live `i32` whose size is passed along.
+    let status = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &bytes, 4) };
+    assert_eq!(status, 0, "setsockopt(SO_RCVBUF)");
+}
+
+#[cfg(not(target_os = "linux"))]
+fn shrink_receive_buffer(_stream: &TcpStream, _bytes: i32) {}
+
+/// Connects with a 4 KiB receive buffer, asks for `session`'s report 16
+/// times over and never reads the answers. The stream is returned so the
+/// connection stays open.
+fn never_reading_run(server: &ServerProcess, session: u64) -> TcpStream {
+    let mut stuck = TcpStream::connect(server.addr().unwrap()).expect("connect");
+    shrink_receive_buffer(&stuck, 4096);
+    let run = serde_json::to_string(&Request::Run { session }).unwrap() + "\n";
+    stuck
+        .write_all(run.repeat(16).as_bytes())
+        .expect("send Run");
+    stuck
+}
+
+fn counter(client: &mut Client, name: &str) -> u64 {
+    match client.request(&Request::Metrics) {
+        Ok(Response::Metrics { metrics, .. }) => metrics
+            .counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value),
+        other => panic!("expected Metrics, got {other:?}"),
+    }
+}
+
+/// A client that asks for a large report and never reads it used to block
+/// its connection thread in `write_all` forever, and a graceful shutdown
+/// joins every connection thread: `Shutdown` answered `Bye` and the
+/// process never exited. Protocol writes now time out after
+/// `WRITE_TIMEOUT`: the stuck connection is dropped and counted, other
+/// connections are served meanwhile, and a shutdown raised while a client
+/// is stuck still ends the process.
+#[test]
+fn clients_that_never_read_are_dropped_and_cannot_wedge_shutdown() {
+    let server = serve(&["--tcp", "127.0.0.1:0", "--threads", "2"]);
+    let mut other = server.connect().expect("connect");
+    // hexagon(100): 16 reports of about 0.55 MB each, far more than a
+    // 4 KiB receive buffer and the server's send buffer (at most 4 MiB on
+    // a default Linux) hold.
+    let spec = ScenarioSpec::new("big", GeneratorSpec::Hexagon { radius: 100 });
+    let session = submit(&mut other, &spec);
+
+    let stuck = never_reading_run(&server, session);
+    std::thread::sleep(Duration::from_secs(1));
+    match other.request(&Request::Sessions) {
+        Ok(Response::Sessions { sessions }) => assert_eq!(sessions.len(), 1),
+        other => panic!("expected Sessions, got {other:?}"),
+    }
+    // A write that still makes progress (the kernel may grow the send
+    // buffer) restarts the timeout, so allow a few of them.
+    let limit = WRITE_TIMEOUT + Duration::from_secs(40);
+    let deadline = Instant::now() + limit;
+    while counter(&mut other, "pm_server_write_timeouts_total") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the stuck write was not dropped within {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    drop(stuck);
+
+    // Stuck again, and shut down while stuck: `Bye`, then the process
+    // exits once the write times out.
+    let _stuck = never_reading_run(&server, session);
+    std::thread::sleep(Duration::from_secs(1));
+    server
+        .shutdown_within(WRITE_TIMEOUT + Duration::from_secs(20))
+        .expect("the server exits although a client never reads");
 }
 
 /// One line of 200 000 `[` would overflow the stack of a parser that
