@@ -210,8 +210,8 @@ fn layers(label: &str, radius: u32) -> Value {
         let report = execution.finish().expect("election succeeds");
         let outside = began.elapsed() - build - start;
         let in_phase = |name: &str| {
-            let nanos = report.profile.iter().filter(|p| p.name == name);
-            Duration::from_nanos(nanos.map(|p| p.wall_nanos).sum())
+            let phases = report.profile.iter().filter(|p| p.name == name);
+            Duration::from_nanos(phases.map(|p| p.wall_nanos).sum())
         };
         let in_phases = Duration::from_nanos(report.profile.iter().map(|p| p.wall_nanos).sum());
         let times = [

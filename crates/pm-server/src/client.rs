@@ -290,30 +290,22 @@ impl ServerProcess {
     /// `limit` has passed, if one is given), and collects the drained log.
     fn reap(mut self, limit: Option<Duration>) -> Result<String, String> {
         drop(self.stdio.take());
-        let status = match limit {
-            None => self.child.wait(),
-            Some(limit) => {
-                let deadline = Instant::now() + limit;
-                loop {
-                    match self.child.try_wait() {
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Ok(None) => {
-                            let _ = self.child.kill();
-                            let _ = self.child.wait();
-                            let log = self.drained_log();
-                            return Err(format!(
-                                "server did not exit within {limit:?} of Bye; killed\n{log}"
-                            ));
-                        }
-                        Ok(Some(status)) => break Ok(status),
-                        Err(e) => break Err(e),
-                    }
+        let started = Instant::now();
+        let status = loop {
+            match (self.child.try_wait(), limit) {
+                (Ok(Some(status)), _) => break status,
+                (Ok(None), Some(limit)) if started.elapsed() >= limit => {
+                    let _ = self.child.kill();
+                    let _ = self.child.wait();
+                    let log = self.drained_log();
+                    return Err(format!(
+                        "server did not exit within {limit:?} of Bye; killed\n{log}"
+                    ));
                 }
+                (Ok(None), _) => std::thread::sleep(Duration::from_millis(10)),
+                (Err(e), _) => return Err(format!("wait for server: {e}")),
             }
-        }
-        .map_err(|e| format!("wait for server: {e}"))?;
+        };
         let log = self.drained_log();
         if !status.success() {
             return Err(format!("server exited with {status}\n{log}"));
