@@ -1,5 +1,5 @@
 //! Differential tests of OBD's closed-form internals against oracles: the
-//! earlier ring builder, which hashed every v-node and asked
+//! earlier ring construction, which hashed every v-node and asked
 //! `LocalBoundary::of_point` for every point and successor, and the earlier
 //! segment competition, which scanned every segment before each merge.
 //! The library's linear-time versions must give the same rings (order,
@@ -34,7 +34,7 @@ const MODELS: [CompetitionCostModel; 2] = [
     CompetitionCostModel::Sequential,
 ];
 
-/// The ring builder with a `HashMap` from `(point, local boundary)` to
+/// The ring construction with a `HashMap` from `(point, local boundary)` to
 /// v-node id and a `LocalBoundary::of_point` call per point and per
 /// successor lookup.
 fn oracle_rings(shape: &Shape) -> Vec<(BoundaryKind, Vec<VNode>)> {
@@ -177,7 +177,7 @@ fn check_shape(shape: &Shape, what: &str) {
 }
 
 /// Two blobs of `n ≥ 2` points, far enough apart to be two components.
-/// (Neither builder walks a lone point of a larger shape: its successor
+/// (Neither version walks a lone point of a larger shape: its successor
 /// point is empty.)
 fn two_blobs(n: usize, seed: u64) -> Shape {
     let a = random_blob(n, seed);
