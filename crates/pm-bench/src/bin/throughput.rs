@@ -10,7 +10,8 @@
 //! or quieter host compare. The `layers` section splits elections on
 //! hexagon(182) and hexagon(577) into the library's layers (shape build,
 //! `start`, OBD, DLE, Collect, report assembly), medians over [`REPS`]
-//! profiled runs. The numbers go into the `benchmark`, `max_n`, `host`,
+//! profiled runs, and times the report's JSON both ways
+//! (`serde_json::to_string` and `from_str::<RunReport>`). The numbers go into the `benchmark`, `max_n`, `host`,
 //! `results` and `layers` keys of `BENCH_results.json` at the repo root,
 //! so the performance trajectory is tracked over time; every other
 //! section of the file is left as it was. `host` records where the
@@ -183,8 +184,8 @@ fn median(samples: &mut [f64]) -> f64 {
 
 /// Medians over [`REPS`] profiled elections on hexagon(`radius`) of the
 /// library's layers, in ms: shape build, `start` (connectivity and shape
-/// analysis), the OBD, DLE and Collect phases, and the report assembly
-/// (the rest of `finish`).
+/// analysis), the OBD, DLE and Collect phases, the report assembly (the
+/// rest of `finish`), and writing the report as JSON and reading it back.
 fn layers(label: &str, radius: u32) -> Value {
     let spec = GeneratorSpec::Hexagon { radius };
     let names = [
@@ -194,6 +195,8 @@ fn layers(label: &str, radius: u32) -> Value {
         "dle_ms",
         "collect_ms",
         "report_ms",
+        "report_to_string_ms",
+        "report_from_str_ms",
     ];
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
     let mut n = 0;
@@ -214,6 +217,13 @@ fn layers(label: &str, radius: u32) -> Value {
             Duration::from_nanos(phases.map(|p| p.wall_nanos).sum())
         };
         let in_phases = Duration::from_nanos(report.profile.iter().map(|p| p.wall_nanos).sum());
+        let began = Instant::now();
+        let json = black_box(serde_json::to_string(&report).expect("reports serialize"));
+        let to_string = began.elapsed();
+        let began = Instant::now();
+        let parsed: RunReport = black_box(serde_json::from_str(&json).expect("reports parse"));
+        let from_str = began.elapsed();
+        assert!(parsed == report, "the report reads back unchanged");
         let times = [
             build,
             start,
@@ -221,6 +231,8 @@ fn layers(label: &str, radius: u32) -> Value {
             in_phase(phase::DLE),
             in_phase(phase::COLLECT),
             outside.saturating_sub(in_phases),
+            to_string,
+            from_str,
         ];
         for (sample, time) in samples.iter_mut().zip(times) {
             sample.push(time.as_secs_f64() * 1e3);

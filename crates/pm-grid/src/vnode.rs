@@ -88,9 +88,9 @@ impl BoundaryRing {
     /// The sum of the boundary counts along the ring.
     ///
     /// By Observation 4 this is `+6` for the outer boundary and `−6` for an
-    /// inner boundary (and `+4 + ... ` degenerate cases never arise for the
-    /// connected, multi-point shapes the paper considers; a single-point
-    /// shape yields `4`).
+    /// inner boundary of the connected, multi-point shapes the paper
+    /// considers. The ring of a lone point (a one-point shape or component)
+    /// is its one v-node, of count `4`.
     pub fn count_sum(&self) -> i64 {
         self.vnodes.iter().map(|v| v.count() as i64).sum()
     }
@@ -192,11 +192,12 @@ pub fn boundary_rings_with_analysis(shape: &Shape, analysis: &ShapeAnalysis) -> 
     // the edge towards the common (unoccupied) point. That edge leaves v'
     // one turn counter-clockwise of B's last edge.
     let successor_of = |id: usize| -> usize {
-        if shape.len() == 1 {
-            // Degenerate single-point shape: the ring is the single v-node.
+        let lb = vnodes[id].local_boundary;
+        if lb.len() == 6 {
+            // A lone point (the whole shape, or a one-point component) has
+            // one local boundary of all six edges: its ring is that v-node.
             return id;
         }
-        let lb = vnodes[id].local_boundary;
         let succ_point = lb.cw_successor_point();
         let dir = lb.last_edge().ccw();
         debug_assert_eq!(
@@ -321,6 +322,24 @@ mod tests {
         assert_eq!(rings.len(), 1);
         assert_eq!(rings[0].len(), 1);
         assert_eq!(rings[0].count_sum(), 4);
+    }
+
+    #[test]
+    fn lone_points_of_larger_shapes_have_their_own_rings() {
+        let pair = [Point::ORIGIN, Point::new(1, 0)];
+        let lone = Point::new(5, 0);
+        for points in [vec![Point::ORIGIN, lone], [&pair[..], &[lone]].concat()] {
+            let s = Shape::from_points(points.iter().copied());
+            let rings = boundary_rings(&s);
+            assert_eq!(rings.len(), 2, "one ring per component of {points:?}");
+            let lone_ring = rings
+                .iter()
+                .find(|r| r.vnodes().iter().any(|v| v.point == lone))
+                .expect("the lone point is on a ring");
+            assert_eq!(lone_ring.len(), 1);
+            assert_eq!(lone_ring.count_sum(), 4);
+            assert!(lone_ring.is_outer());
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 #     `name{labels} value` with a finite float value, and every histogram
 #     carries `_sum`, `_count` and a cumulative `le="+Inf"` bucket;
 #   * the required series exist: per-verb latency for the verbs served,
-#     transport byte counters, sweep timing, core-lock wait and hold (one
-#     of each per request served before the scrape), and the per-phase
-#     election telemetry harvested from the finished session.
+#     transport byte counters, sweep timing, core-lock wait and hold and
+#     the transport's request parse, response serialize and response write
+#     (one of each per request answered before the scrape), and the
+#     per-phase election telemetry harvested from the finished session.
 #
 # Telemetry is wall-clock dependent, so this cannot be a golden diff like
 # the server smoke — structural validation is the contract instead.
@@ -49,6 +50,9 @@ required = {
     "pm_server_sweep_duration_us",
     "pm_server_core_lock_wait_us",
     "pm_server_core_lock_hold_us",
+    "pm_server_request_parse_us",
+    "pm_server_response_serialize_us",
+    "pm_server_response_write_us",
     "pm_election_phase_wall_us",
     "pm_election_phase_rounds_total",
     "pm_election_phase_activations_total",
@@ -64,8 +68,15 @@ served = {
 }
 assert ("verb", "submit") in served and ("verb", "run") in served, served
 
+per_request = (
+    "pm_server_core_lock_wait_us",
+    "pm_server_core_lock_hold_us",
+    "pm_server_request_parse_us",
+    "pm_server_response_serialize_us",
+    "pm_server_response_write_us",
+)
 for h in snap["histograms"]:
-    if h["name"] in ("pm_server_core_lock_wait_us", "pm_server_core_lock_hold_us"):
+    if h["name"] in per_request:
         assert h["count"] >= 2, f"{h['name']} counted {h['count']} of 2 requests"
 
 parsed = 0

@@ -20,8 +20,10 @@ const LATENCY_US_BOUNDS: &[u64] = &[
     1_000_000, 2_500_000, 10_000_000,
 ];
 
-/// Microsecond buckets for core-lock waits and holds: a small request holds
-/// the lock for tens of µs, a long `run` for seconds.
+/// Microsecond buckets for core-lock waits and holds, and for the
+/// transport's parse, serialize and write steps: a small request holds the
+/// lock for tens of µs and parses in a few, a long `run` holds it for
+/// seconds.
 const LOCK_US_BOUNDS: &[u64] = &[
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 10_000, 50_000, 250_000, 1_000_000,
     10_000_000,
@@ -96,6 +98,14 @@ pub struct ServerTelemetry {
     /// Time the core lock was held, µs: requests, housekeeping, HTTP
     /// scrapes and the final sweep alike.
     pub core_lock_hold_us: Histogram,
+    /// Time to parse one request line, µs (before the core lock).
+    pub request_parse_us: Histogram,
+    /// Time to serialize one request's response lines, µs (after the core
+    /// lock).
+    pub response_serialize_us: Histogram,
+    /// Time to write and flush one request's response lines, µs (after the
+    /// core lock; a write that times out counts its whole wait).
+    pub response_write_us: Histogram,
     /// Wall time of one scheduler sweep, µs.
     pub sweep_duration_us: Histogram,
     /// Wall time of one durable checkpoint write, µs.
@@ -154,6 +164,10 @@ impl ServerTelemetry {
             write_timeouts: registry.counter("pm_server_write_timeouts_total"),
             core_lock_wait_us: registry.histogram("pm_server_core_lock_wait_us", LOCK_US_BOUNDS),
             core_lock_hold_us: registry.histogram("pm_server_core_lock_hold_us", LOCK_US_BOUNDS),
+            request_parse_us: registry.histogram("pm_server_request_parse_us", LOCK_US_BOUNDS),
+            response_serialize_us: registry
+                .histogram("pm_server_response_serialize_us", LOCK_US_BOUNDS),
+            response_write_us: registry.histogram("pm_server_response_write_us", LOCK_US_BOUNDS),
             sweep_duration_us: registry.histogram("pm_server_sweep_duration_us", LATENCY_US_BOUNDS),
             checkpoint_write_us: registry
                 .histogram("pm_server_checkpoint_write_us", WRITE_US_BOUNDS),

@@ -94,7 +94,7 @@ pub fn serve(
 /// the only step that touches the core, so a shared core is locked there
 /// and nowhere else — and sends every response line in one write. Returns
 /// `true` iff the line was a `shutdown` verb. Blank and comment lines are
-/// no-ops.
+/// no-ops. The parse is timed in `pm_server_request_parse_us`.
 fn handle_line(
     telemetry: &ServerTelemetry,
     line: &str,
@@ -107,7 +107,12 @@ fn handle_line(
         return Ok(false);
     }
     let mut responses = Vec::new();
-    let shutdown = match serde_json::from_str::<Request>(line) {
+    let began = Instant::now();
+    let request = serde_json::from_str::<Request>(line);
+    telemetry
+        .request_parse_us
+        .observe(as_micros(began.elapsed()));
+    let shutdown = match request {
         Ok(request) => handle(request, &mut responses),
         Err(e) => {
             telemetry.malformed_requests.inc();
@@ -121,12 +126,15 @@ fn handle_line(
     Ok(shutdown)
 }
 
-/// Sends every response line of one request in one write.
+/// Sends every response line of one request in one write, timing the
+/// serialization in `pm_server_response_serialize_us` and the write in
+/// `pm_server_response_write_us`.
 fn send(
     telemetry: &ServerTelemetry,
     responses: Vec<Response>,
     output: &mut impl Write,
 ) -> io::Result<()> {
+    let began = Instant::now();
     let mut batch = String::new();
     for response in responses {
         let json = serde_json::to_string(&response)
@@ -134,9 +142,18 @@ fn send(
         batch.push_str(&json);
         batch.push('\n');
     }
+    telemetry
+        .response_serialize_us
+        .observe(as_micros(began.elapsed()));
     telemetry.bytes_written.add(batch.len() as u64);
-    output.write_all(batch.as_bytes())?;
-    output.flush()
+    let began = Instant::now();
+    let written = output
+        .write_all(batch.as_bytes())
+        .and_then(|()| output.flush());
+    telemetry
+        .response_write_us
+        .observe(as_micros(began.elapsed()));
+    written
 }
 
 /// The state every connection thread shares — protocol connections and the

@@ -51,7 +51,7 @@ fn oracle_rings(shape: &Shape) -> Vec<(BoundaryKind, Vec<VNode>)> {
         }
     }
     let successor_of = |v: &VNode| -> usize {
-        if shape.len() == 1 {
+        if v.local_boundary.len() == 6 {
             return index[&(v.point, v.local_boundary)];
         }
         let succ_point = v.local_boundary.cw_successor_point();
@@ -176,9 +176,8 @@ fn check_shape(shape: &Shape, what: &str) {
     }
 }
 
-/// Two blobs of `n ≥ 2` points, far enough apart to be two components.
-/// (Neither version walks a lone point of a larger shape: its successor
-/// point is empty.)
+/// Two blobs of `n` points, far enough apart to be two components (a
+/// one-point blob is a lone point, whose ring is its one v-node).
 fn two_blobs(n: usize, seed: u64) -> Shape {
     let a = random_blob(n, seed);
     let shift = 2 * n as i32 + 3;
@@ -205,6 +204,15 @@ fn degenerate_shapes_match_the_oracles() {
     check_shape(&line(1), "one point");
     check_shape(&line(2), "two points");
     check_shape(&two_blobs(20, 3), "two blobs");
+    let lone = Point::new(5, 0);
+    check_shape(
+        &Shape::from_points([Point::ORIGIN, lone]),
+        "two lone points",
+    );
+    check_shape(
+        &Shape::from_points([Point::ORIGIN, Point::new(1, 0), lone]),
+        "a pair and a lone point",
+    );
 }
 
 #[test]
@@ -232,7 +240,7 @@ fn any_shape() -> impl Strategy<Value = Shape> {
         (1usize..200, any::<u64>()).prop_map(|(n, seed)| random_simply_connected_blob(n, seed)),
         (1u32..40).prop_map(line),
         Just(line(1)),
-        (2usize..60, any::<u64>()).prop_map(|(n, seed)| two_blobs(n, seed)),
+        (1usize..60, any::<u64>()).prop_map(|(n, seed)| two_blobs(n, seed)),
     ]
 }
 
