@@ -67,4 +67,4 @@ pub use scheduler::{
     DoubleActivation, ReverseRoundRobin, RoundRobin, Runner, Scheduler, SchedulerSpec, SeededRandom,
 };
 pub use stats::RunStats;
-pub use system::{MoveError, Neighbors, OccupancyBackend, ParticleSystem, SystemControl};
+pub use system::{MoveError, Neighbors, ParticleSystem, SystemControl};

@@ -308,13 +308,6 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
         }
     }
 
-    /// Enables per-round connectivity tracking (see
-    /// [`RunStats::ever_disconnected`]).
-    pub fn with_connectivity_tracking(mut self) -> Runner<A, S> {
-        self.track_connectivity = true;
-        self
-    }
-
     /// The current system (before or after running).
     pub fn system(&self) -> &ParticleSystem<A::Memory> {
         &self.system
@@ -323,11 +316,6 @@ impl<A: Algorithm, S: Scheduler> Runner<A, S> {
     /// The algorithm instance.
     pub fn algorithm(&self) -> &A {
         &self.algorithm
-    }
-
-    /// Consumes the runner and returns the system.
-    pub fn into_system(self) -> ParticleSystem<A::Memory> {
-        self.system
     }
 
     /// The cumulative statistics of all rounds stepped so far. Movement

@@ -2,9 +2,8 @@
 
 use crate::algorithm::{Algorithm, InitContext};
 use crate::particle::{Particle, ParticleId};
-use pm_grid::{Direction, GridRect, Point, Shape, DIRECTIONS};
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use pm_grid::{Direction, GridIndex, GridRect, Point, Shape, DIRECTIONS};
+use std::collections::HashMap;
 use std::fmt;
 
 /// An error returned by a movement operation that violates the amoebot
@@ -39,23 +38,6 @@ impl fmt::Display for MoveError {
 
 impl std::error::Error for MoveError {}
 
-/// Which occupancy data structure a [`ParticleSystem`] uses.
-///
-/// The dense backend is the default: a flat vector of 4-byte cells over the
-/// initial shape's (slightly expanded) bounding box gives `O(1)` neighbour
-/// probes during activations, with a hash-map overflow for the rare
-/// particle that wanders outside the box. The hashed backend is the
-/// pre-0.2 `HashMap` representation, kept selectable so differential tests
-/// can prove the two produce bit-identical executions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OccupancyBackend {
-    /// Flat vector indexed by [`GridRect`] cell id (default).
-    #[default]
-    Dense,
-    /// `HashMap<Point, ParticleId>` (legacy reference implementation).
-    Hashed,
-}
-
 /// How far beyond the initial bounding box the dense occupancy grid extends.
 /// Movements past the margin fall back to the overflow map, so correctness
 /// never depends on this value.
@@ -79,142 +61,78 @@ fn cell_value(id: ParticleId) -> u32 {
         .expect("particle ids fit in a dense occupancy cell")
 }
 
-/// The occupancy map: which particle (if any) occupies each grid point.
+/// The occupancy map: which particle (if any) occupies each grid point. A
+/// flat vector over the initial shape's bounding box widened by
+/// [`DENSE_MARGIN`] (one [`cell_value`] or [`VACANT`] per cell) gives
+/// `O(1)` neighbour probes during activations; an overflow map holds the
+/// points of particles that wander outside it.
 #[derive(Clone, Debug)]
-enum Occupancy {
-    /// Flat vector over a bounded rectangle (one [`cell_value`] or
-    /// [`VACANT`] per cell) plus an overflow map for points outside it.
-    Dense {
-        rect: GridRect,
-        cells: Vec<u32>,
-        overflow: HashMap<Point, ParticleId>,
-        len: usize,
-    },
-    /// Plain hash map (reference implementation).
-    Hashed(HashMap<Point, ParticleId>),
+struct Occupancy {
+    rect: GridRect,
+    cells: Vec<u32>,
+    overflow: HashMap<Point, ParticleId>,
+    len: usize,
 }
 
 impl Occupancy {
-    fn for_shape(shape: &Shape, backend: OccupancyBackend) -> Occupancy {
-        match (backend, GridRect::of_shape(shape, DENSE_MARGIN)) {
-            (OccupancyBackend::Dense, Some(rect)) => Occupancy::Dense {
-                cells: vec![VACANT; rect.cells()],
-                rect,
-                overflow: HashMap::new(),
-                len: 0,
-            },
-            // Empty shapes (and the legacy backend) use the hash map.
-            _ => Occupancy::Hashed(HashMap::with_capacity(shape.len())),
+    /// An empty map over `shape`'s widened bounding box (a one-cell
+    /// rectangle at the origin for the empty shape).
+    fn for_shape(shape: &Shape) -> Occupancy {
+        let rect = GridRect::of_shape(shape, DENSE_MARGIN)
+            .unwrap_or_else(|| GridRect::new(Point::ORIGIN, Point::ORIGIN));
+        Occupancy {
+            cells: vec![VACANT; rect.cells()],
+            rect,
+            overflow: HashMap::new(),
+            len: 0,
         }
     }
 
     /// The particle occupying `p`, if any.
     #[inline]
     fn get(&self, p: Point) -> Option<ParticleId> {
-        match self {
-            Occupancy::Dense {
-                rect,
-                cells,
-                overflow,
-                ..
-            } => match rect.cell(p) {
-                Some(cell) => match cells[cell] {
-                    VACANT => None,
-                    value => Some(ParticleId(value as usize)),
-                },
-                None => overflow.get(&p).copied(),
+        match self.rect.cell(p) {
+            Some(cell) => match self.cells[cell] {
+                VACANT => None,
+                value => Some(ParticleId(value as usize)),
             },
-            Occupancy::Hashed(map) => map.get(&p).copied(),
+            None => self.overflow.get(&p).copied(),
         }
     }
 
     /// Maps `p` to `id`, overwriting any previous occupant (handovers
     /// transfer a point between particles in one step).
     fn insert(&mut self, p: Point, id: ParticleId) {
-        match self {
-            Occupancy::Dense {
-                rect,
-                cells,
-                overflow,
-                len,
-            } => match rect.cell(p) {
-                Some(cell) => {
-                    if cells[cell] == VACANT {
-                        *len += 1;
-                    }
-                    cells[cell] = cell_value(id);
-                }
-                None => {
-                    if overflow.insert(p, id).is_none() {
-                        *len += 1;
-                    }
-                }
-            },
-            Occupancy::Hashed(map) => {
-                map.insert(p, id);
-            }
-        }
+        let newly = match self.rect.cell(p) {
+            Some(cell) => std::mem::replace(&mut self.cells[cell], cell_value(id)) == VACANT,
+            None => self.overflow.insert(p, id).is_none(),
+        };
+        self.len += usize::from(newly);
     }
 
     /// Frees `p` if it is currently occupied by `id` (a contraction must not
     /// free a point that was already handed over to another particle).
     fn remove_if(&mut self, p: Point, id: ParticleId) {
-        match self {
-            Occupancy::Dense {
-                rect,
-                cells,
-                overflow,
-                len,
-            } => match rect.cell(p) {
-                Some(cell) => {
-                    if cells[cell] == cell_value(id) {
-                        cells[cell] = VACANT;
-                        *len -= 1;
-                    }
-                }
-                None => {
-                    if overflow.get(&p) == Some(&id) {
-                        overflow.remove(&p);
-                        *len -= 1;
-                    }
-                }
-            },
-            Occupancy::Hashed(map) => {
-                if map.get(&p) == Some(&id) {
-                    map.remove(&p);
-                }
+        match self.rect.cell(p) {
+            Some(cell) if self.cells[cell] == cell_value(id) => self.cells[cell] = VACANT,
+            None if self.overflow.get(&p) == Some(&id) => {
+                self.overflow.remove(&p);
             }
+            _ => return,
         }
-    }
-
-    /// Number of occupied points.
-    fn len(&self) -> usize {
-        match self {
-            Occupancy::Dense { len, .. } => *len,
-            Occupancy::Hashed(map) => map.len(),
-        }
+        self.len -= 1;
     }
 
     /// All occupied points (in no particular order).
     fn points(&self) -> Vec<Point> {
-        match self {
-            Occupancy::Dense {
-                rect,
-                cells,
-                overflow,
-                len,
-            } => {
-                let mut out = Vec::with_capacity(*len);
-                for (cell, slot) in cells.iter().enumerate() {
-                    if *slot != VACANT {
-                        out.push(rect.point(cell));
-                    }
-                }
-                out.extend(overflow.keys().copied());
-                out
+        let mut out = Vec::with_capacity(self.len);
+        for (cell, slot) in self.cells.iter().enumerate() {
+            if *slot != VACANT {
+                out.push(self.rect.point(cell));
             }
-            Occupancy::Hashed(map) => map.keys().copied().collect(),
         }
+        out.extend(self.overflow.keys().copied());
+        out
     }
 }
 
@@ -292,7 +210,7 @@ impl IntoIterator for Neighbors {
 /// Builds the [`InitContext`] of a particle at `point` from a shape
 /// analysis — the single definition of what a particle sees at
 /// initialization time, shared by initial construction
-/// ([`ParticleSystem::from_shape_with_backend`]) and perturbation resets
+/// ([`ParticleSystem::from_shape`]) and perturbation resets
 /// ([`ParticleSystem::reinitialize`]), so the two can never diverge.
 fn init_context(analysis: &pm_grid::ShapeAnalysis, point: Point) -> InitContext {
     let mut occupied = [false; 6];
@@ -404,8 +322,7 @@ pub struct ParticleSystem<M> {
 
 impl<M> ParticleSystem<M> {
     /// Creates a system of contracted particles, one per point of `shape`,
-    /// with memories produced by the algorithm's initializer, on the default
-    /// (dense) occupancy backend.
+    /// with memories produced by the algorithm's initializer.
     ///
     /// This corresponds to the paper's permitted initial configurations:
     /// connected (not enforced here — generators produce connected shapes and
@@ -414,23 +331,9 @@ impl<M> ParticleSystem<M> {
     where
         A: Algorithm<Memory = M> + ?Sized,
     {
-        ParticleSystem::from_shape_with_backend(shape, algorithm, OccupancyBackend::default())
-    }
-
-    /// As [`ParticleSystem::from_shape`], with an explicit occupancy backend
-    /// (differential tests run the same execution on both backends and
-    /// compare results bit for bit).
-    pub fn from_shape_with_backend<A>(
-        shape: &Shape,
-        algorithm: &A,
-        backend: OccupancyBackend,
-    ) -> ParticleSystem<M>
-    where
-        A: Algorithm<Memory = M> + ?Sized,
-    {
         let analysis = shape.analyze();
         let mut particles = Vec::with_capacity(shape.len());
-        let mut occupancy = Occupancy::for_shape(shape, backend);
+        let mut occupancy = Occupancy::for_shape(shape);
         for point in shape.iter() {
             let ctx = init_context(&analysis, point);
             let memory = algorithm.init(&ctx);
@@ -525,58 +428,11 @@ impl<M> ParticleSystem<M> {
         Shape::from_points(self.occupancy.points())
     }
 
-    /// Whether the particle system's shape is currently connected.
-    ///
-    /// On the dense backend this runs a BFS directly over the occupancy grid
-    /// (no intermediate `Shape` is built).
+    /// Whether the particle system's shape is currently connected: the
+    /// search [`Shape::is_connected`] runs, over a dense index of the
+    /// occupied points.
     pub fn is_connected(&self) -> bool {
-        let Occupancy::Dense {
-            rect,
-            cells,
-            overflow,
-            len,
-        } = &self.occupancy
-        else {
-            return self.shape().is_connected();
-        };
-        if *len == 0 {
-            return true;
-        }
-        let start = match cells.iter().position(|slot| *slot != VACANT) {
-            Some(cell) => rect.point(cell),
-            None => *overflow.keys().next().expect("len > 0"),
-        };
-        let mut visited_cells = vec![false; cells.len()];
-        let mut visited_overflow: HashSet<Point> = HashSet::new();
-        let visit = |p: Point,
-                     visited_cells: &mut Vec<bool>,
-                     visited_overflow: &mut HashSet<Point>|
-         -> bool {
-            match rect.cell(p) {
-                Some(cell) => {
-                    if cells[cell] == VACANT || visited_cells[cell] {
-                        false
-                    } else {
-                        visited_cells[cell] = true;
-                        true
-                    }
-                }
-                None => overflow.contains_key(&p) && visited_overflow.insert(p),
-            }
-        };
-        let mut stack = Vec::with_capacity(64);
-        visit(start, &mut visited_cells, &mut visited_overflow);
-        stack.push(start);
-        let mut seen = 1usize;
-        while let Some(p) = stack.pop() {
-            for n in p.neighbors() {
-                if visit(n, &mut visited_cells, &mut visited_overflow) {
-                    seen += 1;
-                    stack.push(n);
-                }
-            }
-        }
-        seen == *len
+        GridIndex::of_points(&self.occupancy.points(), 0).is_none_or(|index| index.is_connected())
     }
 
     /// Whether every particle is contracted.
@@ -1021,10 +877,10 @@ impl<M> ParticleSystem<M> {
                 return Err(format!("particle P{i} occupies non-adjacent points"));
             }
         }
-        if expected.len() != self.occupancy.len() {
+        if expected.len() != self.occupancy.len {
             return Err(format!(
                 "occupancy size mismatch: map has {} entries, particles occupy {}",
-                self.occupancy.len(),
+                self.occupancy.len,
                 expected.len()
             ));
         }
@@ -1060,6 +916,8 @@ mod tests {
     use super::*;
     use crate::algorithm::{ActivationContext, Algorithm};
     use pm_grid::builder::line;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     struct Dummy;
     impl Algorithm for Dummy {
@@ -1091,24 +949,6 @@ mod tests {
         let midpoint = sys.particle_at(Point::new(1, 0)).unwrap();
         assert_eq!(*sys.particle(endpoint).memory(), 1);
         assert_eq!(*sys.particle(midpoint).memory(), 2);
-    }
-
-    #[test]
-    fn both_backends_agree_on_construction() {
-        let shape = pm_grid::builder::hexagon(2);
-        let dense =
-            ParticleSystem::from_shape_with_backend(&shape, &Dummy, OccupancyBackend::Dense);
-        let hashed =
-            ParticleSystem::from_shape_with_backend(&shape, &Dummy, OccupancyBackend::Hashed);
-        dense.check_invariants().unwrap();
-        hashed.check_invariants().unwrap();
-        assert_eq!(dense.shape(), hashed.shape());
-        for p in shape.iter() {
-            assert_eq!(dense.particle_at(p), hashed.particle_at(p));
-        }
-        for (id, particle) in dense.iter() {
-            assert_eq!(particle.memory(), hashed.particle(id).memory());
-        }
     }
 
     #[test]
@@ -1307,16 +1147,11 @@ mod tests {
         let id = sys.particle_at(p).unwrap();
         assert_eq!(id.index(), 2, "fresh slot, ids stay stable");
         assert_eq!(*sys.particle(id).memory(), 1);
-        // Additions work on both backends, including outside the dense
-        // rectangle (overflow map).
+        // Additions work outside the dense rectangle too (overflow map).
         let far = Point::new(40, 0);
         assert!(sys.add_particle(far, &Dummy));
         assert_eq!(*sys.particle(sys.particle_at(far).unwrap()).memory(), 0);
         sys.check_invariants().unwrap();
-        let mut hashed =
-            ParticleSystem::from_shape_with_backend(&line(2), &Dummy, OccupancyBackend::Hashed);
-        assert!(hashed.add_particle(p, &Dummy));
-        hashed.check_invariants().unwrap();
     }
 
     /// Corruption support: `corrupt` overwrites the counter with the
@@ -1441,6 +1276,58 @@ mod tests {
         sys.set_parking(false);
         assert!(sys.is_ready(p(7)), "parked flags are dropped with parking");
         assert_ready_set_matches_flags(&sys, "set_parking(false)");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The occupancy map against a `HashMap` model: random inserts and
+        /// conditional removals, on points inside and outside the dense
+        /// rectangle (so the overflow map is hit), by particles that
+        /// overwrite each other's points, leave `get` on every touched
+        /// point, `len` and the `points` set equal to the model's after
+        /// every operation.
+        #[test]
+        fn occupancy_agrees_with_a_hash_map(
+            ops in proptest::collection::vec((any::<bool>(), -6i32..8, -6i32..7, 0usize..3), 1..160)
+        ) {
+            // The dense rectangle of line(2) spans q in -2..=3, r in -2..=2.
+            let mut occupancy = Occupancy::for_shape(&line(2));
+            let mut model: HashMap<Point, ParticleId> = HashMap::new();
+            let mut touched = Vec::new();
+            for (insert, q, r, id) in ops {
+                let (p, id) = (Point::new(q, r), ParticleId(id));
+                if insert {
+                    occupancy.insert(p, id);
+                    model.insert(p, id);
+                } else {
+                    occupancy.remove_if(p, id);
+                    if model.get(&p) == Some(&id) {
+                        model.remove(&p);
+                    }
+                }
+                touched.push(p);
+                for t in &touched {
+                    prop_assert_eq!(occupancy.get(*t), model.get(t).copied(), "get({})", t);
+                }
+                prop_assert_eq!(occupancy.len, model.len());
+                let points = occupancy.points();
+                let set: HashSet<Point> = points.iter().copied().collect();
+                prop_assert_eq!(set.len(), points.len(), "points() repeats a point");
+                prop_assert_eq!(set, model.keys().copied().collect::<HashSet<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn the_empty_shape_gets_a_one_cell_rectangle() {
+        let mut sys = ParticleSystem::from_shape(&Shape::new(), &Dummy);
+        assert!(sys.is_empty() && sys.is_connected());
+        assert_eq!(sys.occupancy.cells.len(), 1);
+        assert!(sys.add_particle(Point::ORIGIN, &Dummy));
+        assert!(sys.add_particle(Point::new(0, 1), &Dummy));
+        assert!(sys.is_connected());
+        sys.check_invariants().unwrap();
     }
 
     #[test]

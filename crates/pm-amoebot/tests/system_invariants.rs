@@ -121,9 +121,8 @@ fn marching_particles_account_their_moves() {
     assert_eq!(stats.expansions, 5);
     assert_eq!(stats.contractions, 5);
     assert_eq!(stats.handovers, 0);
-    let system = runner.into_system();
     assert_eq!(
-        system.particle_at(pm_grid::Point::new(5, 0)),
+        runner.system().particle_at(pm_grid::Point::new(5, 0)),
         Some(ParticleId::from_index(0))
     );
 }
@@ -133,8 +132,8 @@ fn marching_line_uses_handovers_when_blocked() {
     // A line of particles all marching east: the leftmost ones push into
     // their neighbours via handovers.
     let system = ParticleSystem::from_shape(&line(4), &MarchEast { steps: 3 });
-    let mut runner =
-        Runner::new(system, MarchEast { steps: 3 }, RoundRobin).with_connectivity_tracking();
+    let mut runner = Runner::new(system, MarchEast { steps: 3 }, RoundRobin);
+    runner.track_connectivity = true;
     let stats = runner.run(200).unwrap();
     assert!(stats.handovers > 0, "expected at least one handover");
     assert_eq!(stats.final_connected, Some(true));

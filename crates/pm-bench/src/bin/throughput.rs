@@ -11,13 +11,16 @@
 //! hexagon(182) and hexagon(577) into the library's layers (shape build,
 //! `start`, OBD, DLE, Collect, report assembly), medians over [`REPS`]
 //! profiled runs, and times the report's JSON both ways
-//! (`serde_json::to_string` and `from_str::<RunReport>`). The numbers go into the `benchmark`, `max_n`, `host`,
-//! `results` and `layers` keys of `BENCH_results.json` at the repo root,
-//! so the performance trajectory is tracked over time; every other
-//! section of the file is left as it was. `host` records where the
-//! numbers were taken: the processor count, the processor model, the
-//! commit and the invocation's median reference time. Many-run throughput
-//! is the session scheduler's to measure (the `sessions` Criterion bench).
+//! (`serde_json::to_string` and `from_str::<RunReport>`); the reference
+//! work is timed before each of those runs too, and every layer median
+//! has a `*_scaled_ms` twin scaled as `scaled_ms` is. The numbers go into
+//! the `benchmark`, `max_n`, `host`, `results` and `layers` keys of
+//! `BENCH_results.json` at the repo root, so the performance trajectory
+//! is tracked over time; every other section of the file is left as it
+//! was. `host` records where the numbers were taken: the processor count,
+//! the processor model, the commit and the invocation's median reference
+//! time. Many-run throughput is the session scheduler's to measure (the
+//! `sessions` Criterion bench).
 //!
 //! If `BENCH_baseline.json` exists at the repo root (numbers measured on an
 //! earlier revision with this same binary), each scenario also reports the
@@ -186,21 +189,26 @@ fn median(samples: &mut [f64]) -> f64 {
 /// library's layers, in ms: shape build, `start` (connectivity and shape
 /// analysis), the OBD, DLE and Collect phases, the report assembly (the
 /// rest of `finish`), and writing the report as JSON and reading it back.
-fn layers(label: &str, radius: u32) -> Value {
+/// The reference work is timed into `references_ms` before each election;
+/// each `<layer>_ms` median has a `<layer>_scaled_ms` twin scaled by the
+/// median of the row's reference times, as a `results` row's `scaled_ms`.
+fn layers(label: &str, radius: u32, references_ms: &mut Vec<f64>) -> Value {
     let spec = GeneratorSpec::Hexagon { radius };
     let names = [
-        "build_ms",
-        "start_ms",
-        "obd_ms",
-        "dle_ms",
-        "collect_ms",
-        "report_ms",
-        "report_to_string_ms",
-        "report_from_str_ms",
+        "build",
+        "start",
+        "obd",
+        "dle",
+        "collect",
+        "report",
+        "report_to_string",
+        "report_from_str",
     ];
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
+    let mut reference = Vec::with_capacity(REPS);
     let mut n = 0;
     for _ in 0..REPS {
+        reference.push(reference_ms());
         let began = Instant::now();
         let shape = spec.build();
         let build = began.elapsed();
@@ -239,13 +247,17 @@ fn layers(label: &str, radius: u32) -> Value {
         }
         n = report.n;
     }
+    let scale = REFERENCE_MS / median(&mut reference);
+    references_ms.extend(reference);
     let mut fields = vec![
         ("label".to_string(), Value::Str(label.to_string())),
         ("n".to_string(), Value::UInt(n as u64)),
         ("reps".to_string(), Value::UInt(REPS as u64)),
     ];
     for (name, sample) in names.iter().zip(&mut samples) {
-        fields.push((name.to_string(), Value::Float(median(sample))));
+        let ms = median(sample);
+        fields.push((format!("{name}_ms"), Value::Float(ms)));
+        fields.push((format!("{name}_scaled_ms"), Value::Float(ms * scale)));
     }
     Value::Object(fields)
 }
@@ -402,8 +414,7 @@ fn main() {
         if 3 * radius * (radius + 1) + 1 > max_n {
             continue;
         }
-        references_ms.push(reference_ms());
-        let row = layers(label, radius);
+        let row = layers(label, radius, &mut references_ms);
         println!(
             "layers {label}: {}",
             serde_json::to_string(&row).expect("row")

@@ -90,7 +90,7 @@ use crate::obd::run_obd;
 use pm_amoebot::algorithm::Algorithm;
 use pm_amoebot::scheduler::{RunError, Runner, Scheduler, SeededRandom};
 use pm_amoebot::stats::RunStats;
-use pm_amoebot::system::{OccupancyBackend, ParticleSystem, SystemControl};
+use pm_amoebot::system::{ParticleSystem, SystemControl};
 use pm_grid::{GridIndex, Point, Shape};
 use pm_telemetry::trace;
 use serde::{Deserialize, Serialize};
@@ -135,11 +135,6 @@ pub struct RunOptions {
     pub round_budget: Option<u64>,
     /// Seed for randomized algorithms and for the default scheduler.
     pub seed: u64,
-    /// Which occupancy data structure the particle system uses for
-    /// round-driven phases. The dense default is the fast path; the hashed
-    /// backend is the legacy reference, kept selectable so differential
-    /// tests can prove the two paths produce bit-identical reports.
-    pub occupancy: OccupancyBackend,
 }
 
 impl Default for RunOptions {
@@ -150,7 +145,6 @@ impl Default for RunOptions {
             track_connectivity: false,
             round_budget: None,
             seed: 7,
-            occupancy: OccupancyBackend::Dense,
         }
     }
 }
@@ -556,7 +550,7 @@ pub struct Rounds<'a> {
 
 impl<'a> Rounds<'a> {
     /// The phase `name`: `algorithm` on a particle system built from
-    /// `shape` (with `opts`' occupancy backend and connectivity tracking),
+    /// `shape` (with `opts`' connectivity tracking),
     /// stepped under `scheduler`, within `opts`' round budget or
     /// `default_budget` when `opts` sets none.
     pub fn new<A: RoundDriven + 'a>(
@@ -568,7 +562,7 @@ impl<'a> Rounds<'a> {
         default_budget: u64,
     ) -> Rounds<'a> {
         let _span = trace::span("start", "start:system");
-        let system = ParticleSystem::from_shape_with_backend(shape, &algorithm, opts.occupancy);
+        let system = ParticleSystem::from_shape(shape, &algorithm);
         let mut runner = Runner::new(system, algorithm, scheduler);
         runner.track_connectivity = opts.track_connectivity;
         Rounds {
@@ -1365,14 +1359,6 @@ impl<'a> ElectionBuilder<'a> {
     /// scheduler.
     pub fn seed(mut self, seed: u64) -> Self {
         self.opts.seed = seed;
-        self
-    }
-
-    /// Selects the occupancy backend for round-driven phases (the dense
-    /// fast path by default; the hashed legacy path for differential
-    /// testing).
-    pub fn occupancy(mut self, backend: OccupancyBackend) -> Self {
-        self.opts.occupancy = backend;
         self
     }
 

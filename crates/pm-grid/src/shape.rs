@@ -157,11 +157,6 @@ impl Shape {
         self.points.iter().copied()
     }
 
-    /// The underlying point set.
-    pub fn points(&self) -> &BTreeSet<Point> {
-        &self.points
-    }
-
     /// The neighbours of `p` that belong to the shape, in clockwise port
     /// order.
     pub fn neighbors_in(&self, p: Point) -> impl Iterator<Item = Point> + '_ {

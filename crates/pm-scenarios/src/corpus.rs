@@ -14,7 +14,6 @@ use crate::family::{expand_entries, CorpusEntry, FamilySpec};
 use crate::generators::GeneratorSpec;
 use crate::spec::{AlgorithmSpec, ScenarioSpec};
 use pm_amoebot::scheduler::SchedulerSpec;
-use pm_amoebot::system::OccupancyBackend;
 use pm_core::api::RunOptions;
 use pm_faults::{FaultKind, FaultPlan, FaultProcess, ResetPolicy};
 
@@ -221,16 +220,6 @@ fn builtin_scenarios() -> Vec<ScenarioSpec> {
         ScenarioSpec::new("smoke-self-stab", GeneratorSpec::Hexagon { radius: 4 })
             .tag(SMOKE)
             .algorithm(AlgorithmSpec::SelfStabMax),
-    );
-
-    // --- Backend differential ----------------------------------------------
-    corpus.push(
-        ScenarioSpec::new("smoke-hashed-backend", GeneratorSpec::Hexagon { radius: 4 })
-            .tag(SMOKE)
-            .options(RunOptions {
-                occupancy: OccupancyBackend::Hashed,
-                ..RunOptions::default()
-            }),
     );
 
     // --- Split and removal runs (the reconnection/dynamics axis): one-shot

@@ -86,7 +86,7 @@ pub struct ScenarioSpec {
     /// The activation scheduler.
     pub scheduler: SchedulerSpec,
     /// Run options (variant knobs: boundary knowledge, reconnection,
-    /// occupancy backend, budgets).
+    /// connectivity tracking, budgets, seed).
     pub options: RunOptions,
     /// The fault schedule fired mid-run (removals, column cuts, regrow,
     /// corruption, relocation — see `pm_faults::FaultPlan`); an empty plan

@@ -2,7 +2,6 @@
 //! committed corpus file's sync with the in-code corpus.
 
 use pm_amoebot::scheduler::SchedulerSpec;
-use pm_amoebot::system::OccupancyBackend;
 use pm_core::api::RunOptions;
 use pm_faults::{FaultKind, FaultPlan, FaultProcess, ResetPolicy};
 use pm_scenarios::generators::FAMILY_COUNT;
@@ -35,22 +34,14 @@ fn options_strategy() -> impl Strategy<Value = RunOptions> {
         any::<bool>(),
         prop_oneof![Just(None), (1u64..100_000).prop_map(Some)],
         any::<u64>(),
-        any::<bool>(),
     )
-        .prop_map(
-            |(boundary, reconnect, track, budget, seed, hashed)| RunOptions {
-                assume_outer_boundary_known: boundary,
-                reconnect,
-                track_connectivity: track,
-                round_budget: budget,
-                seed,
-                occupancy: if hashed {
-                    OccupancyBackend::Hashed
-                } else {
-                    OccupancyBackend::Dense
-                },
-            },
-        )
+        .prop_map(|(boundary, reconnect, track, budget, seed)| RunOptions {
+            assume_outer_boundary_known: boundary,
+            reconnect,
+            track_connectivity: track,
+            round_budget: budget,
+            seed,
+        })
 }
 
 fn fault_process_strategy() -> impl Strategy<Value = FaultProcess> {

@@ -23,7 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/../../.."
 cargo build --release -p pm-server --bins
 
-SPEC='{"Submit":{"spec":{"name":"telemetry-smoke","tags":[],"generator":{"Hexagon":{"radius":4}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7,"occupancy":"Dense"},"faults":{"seed":0,"reset":"None","processes":[]}}}}'
+SPEC='{"Submit":{"spec":{"name":"telemetry-smoke","tags":[],"generator":{"Hexagon":{"radius":4}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7},"faults":{"seed":0,"reset":"None","processes":[]}}}}'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT

@@ -84,7 +84,7 @@ spec = {"Submit": {"spec": {
     "algorithm": "SelfStabMax", "scheduler": {"SeededRandom": 7},
     "options": {"assume_outer_boundary_known": False, "reconnect": True,
                 "track_connectivity": False, "round_budget": None,
-                "seed": 7, "occupancy": "Dense"},
+                "seed": 7},
     "faults": {"seed": 7, "reset": "None", "processes": [
         {"kind": "Removals", "start": 1, "period": 2, "until": 5, "count": 2}]},
 }}}

@@ -128,7 +128,7 @@ fn tcp_transport_serves_the_same_protocol() {
     let server =
         ServerProcess::spawn(&[BIN, "serve", "--tcp", "127.0.0.1:0"]).expect("server spawns");
 
-    let spec = r#"{"Submit":{"spec":{"name":"tcp","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7,"occupancy":"Dense"},"faults":{"seed":0,"reset":"None","processes":[]}}}}"#;
+    let spec = r#"{"Submit":{"spec":{"name":"tcp","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7},"faults":{"seed":0,"reset":"None","processes":[]}}}}"#;
 
     // First connection: submit, then drop the connection mid-session.
     let mut first = server.connect().expect("connect");
@@ -150,4 +150,40 @@ fn tcp_transport_serves_the_same_protocol() {
         other => panic!("expected Done, got {other:?}"),
     }
     server.shutdown().expect("clean shutdown");
+}
+
+/// Lines written before `RunOptions` lost its `occupancy` key keep working:
+/// the key is skipped as unknown, so a `Submit` that names the removed
+/// `Hashed` store and a `Restore` of a checkpoint written with the key get
+/// the same responses, the `Done` report included, as the same lines
+/// without it.
+#[test]
+fn legacy_occupancy_keys_are_ignored() {
+    const SUBMIT: &str = r#"{"Submit":{"spec":{"name":"legacy","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":true,"round_budget":null,"seed":7,"occupancy":"Hashed"},"faults":{"seed":0,"reset":"None","processes":[]}}}}"#;
+    const RESTORE: &str = r#"{"Restore":{"checkpoint":{"spec":{"name":"server-smoke","tags":[],"generator":{"Hexagon":{"radius":5}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7,"occupancy":"Dense"},"faults":{"seed":0,"reset":"Reinitialize","processes":[{"kind":"Removals","start":6,"period":0,"until":6,"count":4}]}},"execution":{"algorithm":"dle+collect","steps":8,"rounds":5,"total_rounds":230,"rounds_in_phase":5,"phase":"dle","decided":74,"undecided":17,"finished":false}}}}"#;
+    let responses = |line: &str| -> Vec<String> {
+        let script = format!("{line}\n{{\"Run\":{{\"session\":1}}}}\n\"Shutdown\"\n");
+        let mut transcript = Vec::new();
+        let command = [BIN, "serve", "--stdio"].map(String::from);
+        pm_server::run_script(&command, &script, &mut transcript).expect("script runs");
+        String::from_utf8(transcript)
+            .expect("transcript is UTF-8")
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(String::from)
+            .collect()
+    };
+    for (legacy, key) in [
+        (SUBMIT, r#","occupancy":"Hashed""#),
+        (RESTORE, r#","occupancy":"Dense""#),
+    ] {
+        let current = legacy.replace(key, "");
+        assert_ne!(current, legacy, "{key} is in the legacy line");
+        let (old, new) = (responses(legacy), responses(&current));
+        assert!(
+            old.iter().any(|line| line.starts_with(r#"{"Done":"#)),
+            "{old:?}"
+        );
+        assert_eq!(old, new, "{key} changed the responses");
+    }
 }

@@ -51,7 +51,7 @@ fn live_server_serves_every_route_and_rejects_garbage() {
 
     // Drive one fault-injected self-stab session so the scrape surfaces
     // have real content: verb latencies, harvested phases, trace spans.
-    let spec = r#"{"Submit":{"spec":{"name":"http-e2e","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"SelfStabMax","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7,"occupancy":"Dense"},"faults":{"seed":7,"reset":"None","processes":[{"kind":"Removals","start":1,"period":2,"until":5,"count":2}]}}}}"#;
+    let spec = r#"{"Submit":{"spec":{"name":"http-e2e","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"SelfStabMax","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7},"faults":{"seed":7,"reset":"None","processes":[{"kind":"Removals","start":1,"period":2,"until":5,"count":2}]}}}}"#;
     let submitted = client
         .request(&serde_json::from_str(spec).expect("spec parses"))
         .expect("submit");

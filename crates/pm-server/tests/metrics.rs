@@ -5,7 +5,7 @@
 use pm_server::{serve, Response, ServerCore};
 use pm_telemetry::MetricsSnapshot;
 
-const SPEC: &str = r#"{"Submit":{"spec":{"name":"metrics-smoke","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7,"occupancy":"Dense"},"faults":{"seed":0,"reset":"None","processes":[]}}}}"#;
+const SPEC: &str = r#"{"Submit":{"spec":{"name":"metrics-smoke","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7},"faults":{"seed":0,"reset":"None","processes":[]}}}}"#;
 
 /// Runs a request script through the stdio-style transport and parses
 /// every response line.

@@ -96,7 +96,6 @@ fn run_options_roundtrip() {
         track_connectivity: true,
         round_budget: Some(123),
         seed: 42,
-        occupancy: programmable_matter::amoebot::OccupancyBackend::Hashed,
     };
     let json = serde_json::to_string(&opts).unwrap();
     let back: RunOptions = serde_json::from_str(&json).unwrap();

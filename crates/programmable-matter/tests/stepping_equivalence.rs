@@ -98,18 +98,13 @@ fn stepping_equals_eager_for_all_algorithms_and_schedulers() {
 
 #[test]
 fn stepping_equals_eager_for_pipeline_variants() {
-    // The RunOptions axis: boundary knowledge, no reconnection, tracking,
-    // hashed occupancy.
+    // The RunOptions axis: boundary knowledge, no reconnection, tracking.
     let shape = annulus(5, 3);
     let variants = [
         RunOptions::with_boundary_knowledge(),
         RunOptions {
             reconnect: false,
             track_connectivity: true,
-            ..RunOptions::default()
-        },
-        RunOptions {
-            occupancy: programmable_matter::amoebot::system::OccupancyBackend::Hashed,
             ..RunOptions::default()
         },
     ];
